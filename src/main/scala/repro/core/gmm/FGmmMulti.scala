@@ -1,52 +1,123 @@
 package repro.core.gmm
 
-import org.apache.spark.sql.{DataFrame, Encoders}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col}
 import repro.linalg.{Mat, Vec}
 import scala.collection.parallel.CollectionConverters._
 
-/** Per-Ri-tuple reusable blocks for the multi-way E-step (paper §V-C,
-  * Eq. 19–21), per component k:
-  *  - `pd(k)`  = x_r − μ_{Ri,k}                  (Eq. 20, computed once)
-  *  - `v(k)`   = I_{0i} · pd(k)   (dS-vector)    (S↔Ri cross term)
-  *  - `c(k)`   = pd(k)ᵀ I_{ii} pd(k)             (diagonal term, reused)
-  *  - `t(m)(k)` = I_{mi} · pd(k)  (dRm-vector, m < i)  (Ri↔Rm cross term:
-  *    the per-row work drops to a dot product against the other table's pd)
+/** Open-addressing map rid → position over primitive arrays: the dense index
+  * of one attribute relation, probed once per S row without boxing a key.
+  * Holds at most `n` keys (capacity ≥ 2n, linear probing).
   */
-private[gmm] final case class MPre(raw: Array[Double], pd: Array[Array[Double]],
-                                   v: Array[Array[Double]], c: Array[Double],
-                                   t: Array[Array[Array[Double]]])
+private[gmm] final class RidIndex(n: Int) extends Serializable {
+  private val mask = Integer.highestOneBit(math.max(n, 1) * 2) * 2 - 1
+  private val keys = new Array[Long](mask + 1)
+  private val vals = Array.fill(mask + 1)(-1)
+
+  @inline private def find(rid: Long): Int = {
+    var h = java.lang.Long.hashCode(rid * 0x9E3779B97F4A7C15L) & mask
+    while (vals(h) >= 0 && keys(h) != rid) h = (h + 1) & mask
+    h
+  }
+
+  /** Position of `rid`, or −1 when the relation has no such tuple. */
+  def apply(rid: Long): Int = vals(find(rid))
+
+  /** Map `rid` to `pos`, unless it is already mapped; returns the earlier
+    * position, or −1 when `rid` is new.
+    */
+  def put(rid: Long, pos: Int): Int = {
+    val h = find(rid)
+    val prev = vals(h)
+    if (prev < 0) { keys(h) = rid; vals(h) = pos }
+    prev
+  }
+}
+
+/** One collected attribute relation Ri, checked and indexed once on the
+  * driver before any Spark job: the rows keep their collected order, tuple
+  * `pos` is `rows(pos)`, and `index` maps each rid to its position. Input
+  * the inner join would not define as a key lookup — an empty relation, a
+  * duplicate rid, null or ragged features — is rejected here, naming the
+  * relation and the key.
+  */
+private[gmm] final class RRel(val name: String, val rows: Array[(Long, Array[Double])]) {
+  require(rows.nonEmpty, s"relation $name is empty")
+  val width: Int = Option(rows.head._2).fold(0)(_.length) // a null head fails below
+  val index: RidIndex = new RidIndex(rows.length)
+  rows.indices.foreach { pos =>
+    val (rid, xr) = rows(pos)
+    require(xr != null, s"relation $name: rid $rid has null features")
+    require(xr.length == width,
+      s"relation $name: rid $rid has ${xr.length} features, expected $width (as rid ${rows.head._1})")
+    val prev = index.put(rid, pos)
+    require(prev < 0, s"relation $name has duplicate rid $rid (rows $prev and $pos)")
+  }
+}
+
+private[gmm] object RRel {
+  /** R1 … Rq in join order (Ri is referenced by S column `fk<i>`). */
+  def all(rRows: Seq[Array[(Long, Array[Double])]]): Array[RRel] =
+    rRows.zipWithIndex.map { case (rows, i) => new RRel(s"R${i + 1}", rows) }.toArray
+}
+
+/** Layout of the flat per-Ri precompute (paper §V-C, Eq. 19–21), one
+  * `Array[Double]` per relation. Tuple `pos` of Ri occupies `stride(i)`
+  * doubles from `pos·stride(i)`: its features x_r, then one block per
+  * component k. With pd = x_r − μ_{Ri,k}, block k holds
+  *  - `v_k = I_{S,Ri}·pd` (dS doubles) for the S↔Ri cross term,
+  *  - `c_k = pdᵀ I_{Ri,Ri} pd`, the reused diagonal term,
+  *  - for each m < i, `t = I_{Rm,Ri}·pd` (dRm doubles) followed by `μ_{Rm,k}ᵀ t`.
+  *
+  * The Rm↔Ri cross term pd_mᵀ t is evaluated per S row as x_mᵀ t − μ_mᵀ t,
+  * reading x_m from Rm's array, so no per-tuple pd is stored or shipped.
+  */
+private[gmm] final class PreLayout(val k: Int, val dS: Int, val dims: Array[Int]) extends Serializable {
+  val q: Int = dims.length
+  /** tOff(i)(m): offset of t for Rm inside a component block of Ri; the
+    * last entry, tOff(i)(i), is the block width.
+    */
+  val tOff: Array[Array[Int]] = Array.tabulate(q)(i => dims.take(i).scanLeft(dS + 1)(_ + _ + 1))
+  val stride: Array[Int] = Array.tabulate(q)(i => dims(i) + k * tOff(i)(i))
+
+  /** Offset of component `kk`'s block of the Ri tuple stored from `base`. */
+  @inline def blk(i: Int, base: Int, kk: Int): Int = base + dims(i) + kk * tOff(i)(i)
+}
 
 /** Partition-local statistics of the factorized multi-way S-pass: global
   * S-block sums, per-FK grouped statistics for **each** attribute relation,
   * and the off-diagonal R×R covariance blocks (accumulated per row — the
   * paper reuses only the diagonal blocks M_ii, Eq. 23).
+  *
+  * `perFk(i)` is flat and indexed by Ri position: the tuple at `pos` owns
+  * [g_0 … g_{K−1}, sgx_0 (dS) … sgx_{K−1} (dS)] from `pos·K·(1+dS)`, and
+  * merging is an element-wise add. Rows whose FK has no Ri tuple are not
+  * folded in; they are counted in `orphans` (inner-join semantics).
   */
-private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array[Int])
-    extends Serializable {
+private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array[Int],
+                                        val nR: Array[Int]) extends Serializable {
   val q: Int = dims.length
   var n: Long = 0L
+  var orphans: Long = 0L
   var loglik: Double = 0.0
   val nk: Array[Double] = new Array[Double](k)
   val sxS: Array[Array[Double]] = Array.fill(k)(new Array[Double](dS))
   val sxxSS: Array[Mat] = Array.fill(k)(Mat.zeros(dS, dS))
-  val perFk: Array[java.util.HashMap[Long, Array[Double]]] =
-    Array.fill(q)(new java.util.HashMap[Long, Array[Double]]())
+  val perFk: Array[Array[Double]] = Array.tabulate(q)(i => new Array[Double](nR(i) * k * (1 + dS)))
   // cross(i)(j-i-1)(k): Σ γ x_{Ri} x_{Rj}ᵀ for 0 ≤ i < j < q (R-indexing)
   val cross: Array[Array[Array[Mat]]] =
     Array.tabulate(q) { i => Array.tabulate(q - i - 1) { jOff =>
       Array.fill(k)(Mat.zeros(dims(i), dims(i + 1 + jOff))) } }
 
-  @inline def fkSlot(rel: Int, fk: Long): Array[Double] = {
-    val m = perFk(rel)
-    var a = m.get(fk)
-    if (a == null) { a = new Array[Double](k * (1 + dS)); m.put(fk, a) }
-    a
-  }
-
-  def add(fks: Array[Long], xs: Array[Double], raws: Array[Array[Double]],
+  /** Fold in one joined row: S features `xs` and, per relation Ri, the tuple
+    * at position `pos(i)`, whose features are
+    * `xr(i)(xrOff(i) until xrOff(i) + dims(i))`.
+    */
+  def add(pos: Array[Int], xs: Array[Double], xr: Array[Array[Double]], xrOff: Array[Int],
           gamma: Array[Double], ll: Double): Unit = {
     n += 1; loglik += ll
+    val w = k * (1 + dS)
     var i = 0
     while (i < k) {
       val g = gamma(i)
@@ -55,9 +126,10 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
       sxxSS(i).addOuter(g, xs, xs)
       var rel = 0
       while (rel < q) {
-        val slot = fkSlot(rel, fks(rel))
-        slot(i) += g
-        val off = k + i * dS
+        val slot = perFk(rel)
+        val base = pos(rel) * w
+        slot(base + i) += g
+        val off = base + k + i * dS
         var j = 0
         while (j < dS) { slot(off + j) += g * xs(j); j += 1 }
         rel += 1
@@ -67,7 +139,7 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
       while (a < q) {
         var b = a + 1
         while (b < q) {
-          cross(a)(b - a - 1)(i).addOuter(g, raws(a), raws(b))
+          cross(a)(b - a - 1)(i).addOuter(g, xr(a), xrOff(a), xr(b), xrOff(b))
           b += 1
         }
         a += 1
@@ -77,8 +149,8 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
   }
 
   def merge(o: FGmmMultiAccum): FGmmMultiAccum = {
-    require(o.k == k && o.dS == dS && o.dims.sameElements(dims))
-    n += o.n; loglik += o.loglik
+    require(o.k == k && o.dS == dS && o.dims.sameElements(dims) && o.nR.sameElements(nR))
+    n += o.n; orphans += o.orphans; loglik += o.loglik
     var i = 0
     while (i < k) {
       nk(i) += o.nk(i)
@@ -87,14 +159,7 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
       i += 1
     }
     var rel = 0
-    while (rel < q) {
-      val it = o.perFk(rel).entrySet().iterator()
-      while (it.hasNext) {
-        val e = it.next()
-        Vec.addInPlace(fkSlot(rel, e.getKey), e.getValue)
-      }
-      rel += 1
-    }
+    while (rel < q) { Vec.addInPlace(perFk(rel), o.perFk(rel)); rel += 1 }
     for (a <- 0 until q; bOff <- 0 until q - a - 1; i <- 0 until k)
       cross(a)(bOff)(i).addInPlace(o.cross(a)(bOff)(i))
     this
@@ -105,118 +170,201 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
   * The quadratic form decomposes into (q+1)² block terms (Eq. 19); all
   * Ri-only terms and all vectors `I_mn · PD` are precomputed once per Ri
   * tuple, so the per-S-row cost no longer scales with Σ dRi².
+  *
+  * Each iteration extracts the precision blocks once per component, fills
+  * one flat [[PreLayout]] array per relation on all driver cores, broadcasts
+  * those arrays with the relations' [[RidIndex]]es, aggregates S alone into
+  * flat per-position state, and finishes each relation over chunks in
+  * parallel.
   */
 object FGmmMulti {
 
+  /** One factorized EM iteration; `rRows(i)` is the collected R_{i+1}. */
   def emStep(s: DataFrame, rRows: Seq[Array[(Long, Array[Double])]], model: GmmModel,
              dS: Int): (GmmModel, Double) = {
-    val spark = s.sparkSession
-    import spark.implicits._
-    val q = rRows.length
-    val dims = rRows.map(_.head._2.length).toArray
-    val d = dS + dims.sum
-    require(model.d == d, s"model d=${model.d} != $dS + ${dims.mkString("+")}")
+    val rels = RRel.all(rRows)
+    step(sRows(s, rels.length), rels, model, dS)
+  }
+
+  private def step(sRows: RDD[(Array[Long], Array[Double])], rels: Array[RRel], model: GmmModel,
+                   dS: Int): (GmmModel, Double) = {
+    val acc = pass(sRows, rels, model, dS)
+    (finish(acc, rels, dS), acc.loglik)
+  }
+
+  /** Ranges of at least 64 positions (about 64 ranges at most) for the driver's parallel loops. */
+  private def chunks(n: Int): Seq[Range] = {
+    val size = math.max(64, n / 64)
+    (0 until n by size).map(from => from until math.min(n, from + size))
+  }
+
+  /** The per-Ri-tuple reusable blocks of every relation, laid out by `lay`. */
+  private def precompute(rels: Array[RRel], model: GmmModel, inv: Array[Mat],
+                         lay: PreLayout): Array[Array[Double]] = {
+    val k = lay.k; val dS = lay.dS; val dims = lay.dims; val q = lay.q
+    val offs = dims.scanLeft(dS)(_ + _) // offs(i) = start of Ri block; offs(q) = d
+    // Precision blocks, extracted once per component (not per tuple).
+    def blk(kk: Int, r0: Int, r1: Int, c: Int): Mat = inv(kk).block(r0, r1, offs(c), offs(c + 1))
+    val iSR = Array.tabulate(q, k)((i, kk) => blk(kk, 0, dS, i))
+    val iRR = Array.tabulate(q, k)((i, kk) => blk(kk, offs(i), offs(i + 1), i))
+    val iRmRi = Array.tabulate(q)(i => Array.tabulate(i, k)((m, kk) => blk(kk, offs(m), offs(m + 1), i)))
+    val muR = Array.tabulate(q, k)((i, kk) => Vec.slice(model.means(kk), offs(i), offs(i + 1)))
+
+    Array.tabulate(q) { i =>
+      val rows = rels(i).rows
+      val di = dims(i)
+      val pre = new Array[Double](rows.length * lay.stride(i))
+      chunks(rows.length).par.foreach { range =>
+        val pd = new Array[Double](di)
+        range.foreach { pos =>
+          val xr = rows(pos)._2
+          val base = pos * lay.stride(i)
+          System.arraycopy(xr, 0, pre, base, di)
+          var kk = 0
+          while (kk < k) {
+            val mu = muR(i)(kk)
+            var j = 0
+            while (j < di) { pd(j) = xr(j) - mu(j); j += 1 }
+            val b = lay.blk(i, base, kk)
+            iSR(i)(kk).mvInto(pd, pre, b)
+            pre(b + dS) = iRR(i)(kk).quadForm(pd)
+            var m = 0
+            while (m < i) {
+              val t = b + lay.tOff(i)(m)
+              iRmRi(i)(m)(kk).mvInto(pd, pre, t)
+              pre(t + dims(m)) = Vec.dot(muR(m)(kk), 0, pre, t, dims(m))
+              m += 1
+            }
+            kk += 1
+          }
+        }
+      }
+      pre
+    }
+  }
+
+  /** S as (fk1 … fkq, xs) rows: planned once, scanned again by every pass. */
+  private[gmm] def sRows(s: DataFrame, q: Int): RDD[(Array[Long], Array[Double])] = {
+    import s.sparkSession.implicits._
+    s.select(array((1 to q).map(i => col(s"fk$i")): _*) as "fks", col("xs"))
+      .as[(Array[Long], Array[Double])].rdd
+  }
+
+  /** E-step and S-side sums: one aggregation pass over S only. */
+  private[gmm] def pass(sRows: RDD[(Array[Long], Array[Double])], rels: Array[RRel],
+                        model: GmmModel, dS: Int): FGmmMultiAccum = {
+    val q = rels.length
+    val dims = rels.map(_.width)
+    val nR = rels.map(_.rows.length)
+    require(dS >= 0 && model.d == dS + dims.sum, s"model d=${model.d} != $dS + ${dims.mkString("+")}")
     val k = model.k
     val cache = GmmComponentCache(model)
-    // offsets of each block inside the concatenated feature vector
-    val offs = dims.scanLeft(dS)(_ + _) // offs(i) = start of Ri block; offs(q) = d
-
+    val lay = new PreLayout(k, dS, dims)
+    // The tasks read only these small S-side values and the broadcast.
+    val logConst = cache.logConst
     val muS = model.means.map(Vec.slice(_, 0, dS))
-    val muR = (0 until q).map(i => model.means.map(Vec.slice(_, offs(i), offs(i) + dims(i))))
     val iSS = cache.inv.map(_.block(0, dS, 0, dS))
-    // iBlk(a)(b)(k) = I_{ab} in R-indexing (a,b over R relations)
-    def blk(kk: Int, a: Int, b: Int): Mat =
-      cache.inv(kk).block(offs(a), offs(a) + dims(a), offs(b), offs(b) + dims(b))
-    val iS_R = (0 until q).map(i => (0 until k).map(kk =>
-      cache.inv(kk).block(0, dS, offs(i), offs(i) + dims(i))).toArray)
+    val bc = sRows.sparkContext.broadcast((rels.map(_.index), precompute(rels, model, cache.inv, lay)))
 
-    // (1) per-Ri-tuple reusable blocks (independent per tuple — parallel)
-    val pres: Array[java.util.HashMap[Long, MPre]] = Array.tabulate(q) { i =>
-      val entries = rRows(i).par.map { case (rid, xr) =>
-        val pd = new Array[Array[Double]](k)
-        val v  = new Array[Array[Double]](k)
-        val c  = new Array[Double](k)
-        val t  = Array.tabulate(i) { mRel => new Array[Array[Double]](k) }
-        var kk = 0
-        while (kk < k) {
-          pd(kk) = Vec.sub(xr, muR(i)(kk))
-          v(kk)  = iS_R(i)(kk).mv(pd(kk))
-          c(kk)  = blk(kk, i, i).quadForm(pd(kk))
-          var mRel = 0
-          while (mRel < i) { t(mRel)(kk) = blk(kk, mRel, i).mv(pd(kk)); mRel += 1 }
-          kk += 1
-        }
-        (rid, MPre(xr, pd, v, c, t))
-      }.toArray
-      val m = new java.util.HashMap[Long, MPre](rRows(i).length * 2)
-      entries.foreach { case (rid, p) => m.put(rid, p) }
-      m
-    }
-    val bc = spark.sparkContext.broadcast(pres)
-
-    // (2) factorized aggregation pass over S only
-    val fkCols = (1 to q).map(i => col(s"fk$i"))
-    implicit val accEnc = Encoders.kryo[FGmmMultiAccum]
-    val acc =
-      try {
-        s.select(array(fkCols: _*) as "fks", col("xs")).as[(Array[Long], Array[Double])]
-          .mapPartitions { it =>
-            val a = new FGmmMultiAccum(k, dS, dims)
-            val gamma = new Array[Double](k)
-            val quad = new Array[Double](k)
-            val lookup = bc.value
-            val ps = new Array[MPre](q)
-            val raws = new Array[Array[Double]](q)
-            it.foreach { case (fks, xs) =>
-              var rel = 0
-              while (rel < q) { ps(rel) = lookup(rel).get(fks(rel)); raws(rel) = ps(rel).raw; rel += 1 }
+    try {
+      sRows
+        .mapPartitions { it =>
+          val (index, pre) = bc.value
+          val a = new FGmmMultiAccum(k, dS, dims, nR)
+          val gamma = new Array[Double](k)
+          val quad = new Array[Double](k)
+          val pds = new Array[Double](dS)
+          val pos = new Array[Int](q)
+          val xOff = new Array[Int](q)
+          it.foreach { case (fks, xs) =>
+            var hit = true
+            var rel = 0
+            while (hit && rel < q) {
+              pos(rel) = index(rel)(fks(rel))
+              hit = pos(rel) >= 0
+              xOff(rel) = pos(rel) * lay.stride(rel)
+              rel += 1
+            }
+            if (!hit) a.orphans += 1
+            else {
               var i = 0
               while (i < k) {
-                val pds = Vec.sub(xs, muS(i))
-                var v = iSS(i).quadForm(pds)  // S diagonal term
+                val mu = muS(i)
+                var j = 0
+                while (j < dS) { pds(j) = xs(j) - mu(j); j += 1 }
+                var v = iSS(i).quadForm(pds) // S diagonal term
                 rel = 0
                 while (rel < q) {
-                  v += 2.0 * Vec.dot(pds, ps(rel).v(i)) + ps(rel).c(i)
-                  var mRel = 0
-                  while (mRel < rel) { // Rm ↔ Rrel cross terms (m < rel)
-                    v += 2.0 * Vec.dot(ps(mRel).pd(i), ps(rel).t(mRel)(i))
-                    mRel += 1
+                  val p = pre(rel)
+                  val b = lay.blk(rel, xOff(rel), i)
+                  v += 2.0 * Vec.dot(pds, 0, p, b, dS) + p(b + dS)
+                  var m = 0
+                  while (m < rel) { // Rm ↔ Rrel cross term: (x_m − μ_m)ᵀ t
+                    val t = b + lay.tOff(rel)(m)
+                    v += 2.0 * (Vec.dot(pre(m), xOff(m), p, t, dims(m)) - p(t + dims(m)))
+                    m += 1
                   }
                   rel += 1
                 }
                 quad(i) = v
                 i += 1
               }
-              val ll = GmmMath.responsibilities(cache, quad, gamma)
-              a.add(fks, xs, raws, gamma, ll)
+              val ll = GmmMath.responsibilities(logConst, quad, gamma)
+              a.add(pos, xs, pre, xOff, gamma, ll)
             }
-            Iterator.single(a)
           }
-          .reduce(_.merge(_))
-      } finally bc.destroy()
+          Iterator.single(a)
+        }
+        .reduce(_.merge(_))
+    } finally bc.destroy()
+  }
 
-    // (3) finish R-side blocks per relation, one kernel per Ri tuple
-    val sxR = Array.tabulate(q)(i => Array.fill(k)(new Array[Double](dims(i))))
-    val ur  = Array.tabulate(q)(i => Array.fill(k)(Mat.zeros(dS, dims(i))))
-    val lr  = Array.tabulate(q)(i => Array.fill(k)(Mat.zeros(dims(i), dims(i))))
-    for (rel <- 0 until q) {
-      rRows(rel).foreach { case (rid, xr) =>
-        val slot = acc.perFk(rel).get(rid)
-        if (slot != null) {
-          var i = 0
-          while (i < k) {
-            val g = slot(i)
-            if (g != 0.0) {
-              Vec.axpy(g, xr, sxR(rel)(i))
-              lr(rel)(i).addOuter(g, xr, xr)
-            }
-            val sgx = Vec.slice(slot, k + i * dS, k + (i + 1) * dS)
-            ur(rel)(i).addOuter(1.0, sgx, xr)
-            i += 1
+  /** One relation's R-side sums per component — Σ γ x_r, Σ (Σγ x_S) x_rᵀ and
+    * Σ γ x_r x_rᵀ — one kernel per Ri tuple, read from the flat state, over
+    * chunks in parallel.
+    */
+  private def finishRel(state: Array[Double], rows: Array[(Long, Array[Double])], k: Int,
+                        dS: Int, di: Int): (Array[Array[Double]], Array[Mat], Array[Mat]) = {
+    val w = k * (1 + dS)
+    chunks(rows.length).par.map { range =>
+      val sxR = Array.fill(k)(new Array[Double](di))
+      val ur  = Array.fill(k)(Mat.zeros(dS, di))
+      val lr  = Array.fill(k)(Mat.zeros(di, di))
+      range.foreach { pos =>
+        val xr = rows(pos)._2
+        val base = pos * w
+        var i = 0
+        while (i < k) {
+          val g = state(base + i)
+          // g = 0 only if every γ at this tuple is 0, so its Σγ x_S is 0 too
+          if (g != 0.0) {
+            Vec.axpy(g, xr, sxR(i))
+            lr(i).addOuter(g, xr, xr)
+            ur(i).addOuter(1.0, state, base + k + i * dS, xr, 0)
           }
+          i += 1
         }
       }
+      (sxR, ur, lr)
+    }.seq.reduce { (x, y) =>
+      var i = 0
+      while (i < k) {
+        Vec.addInPlace(x._1(i), y._1(i)); x._2(i).addInPlace(y._2(i)); x._3(i).addInPlace(y._3(i))
+        i += 1
+      }
+      x
     }
+  }
+
+  /** M-step: finish the R-side blocks and assemble each covariance (Eq. 23). */
+  private def finish(acc: FGmmMultiAccum, rels: Array[RRel], dS: Int): GmmModel = {
+    val k = acc.k
+    val q = acc.q
+    val dims = acc.dims
+    val offs = dims.scanLeft(dS)(_ + _)
+    val d = offs(q)
+    val (sxR, ur, lr) = Array.tabulate(q)(rel =>
+      finishRel(acc.perFk(rel), rels(rel).rows, k, dS, dims(rel))).unzip3
 
     val weights = new Array[Double](k)
     val means   = new Array[Array[Double]](k)
@@ -245,20 +393,23 @@ object FGmmMulti {
       covs(i) = c
       i += 1
     }
-    (GmmModel(weights, means, covs), acc.loglik)
+    GmmModel(weights, means, covs)
   }
 
-  /** Collect each Ri once and run `iters` factorized EM iterations. */
+  /** Collect, check and index each Ri once, then run `iters` factorized EM
+    * iterations.
+    */
   def train(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit = {
     val spark = s.sparkSession
     import spark.implicits._
-    val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
-    val dS = init.d - rRows.map(_.head._2.length).sum
+    val rels = RRel.all(rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect()))
+    val dS = init.d - rels.map(_.width).sum
+    val rows = sRows(s, rels.length)
     var model = init
     val lls = Seq.newBuilder[Double]
     var i = 0
     while (i < iters) {
-      val (next, ll) = emStep(s, rRows, model, dS)
+      val (next, ll) = step(rows, rels, model, dS)
       model = next
       lls += ll
       i += 1

@@ -77,11 +77,18 @@ object GmmMath {
     * log-likelihood contribution ln Σ_k π_k N(x | μ_k, Σ_k).
     */
   def responsibilities(cache: GmmComponentCache, quad: Array[Double],
+                       gamma: Array[Double]): Double =
+    responsibilities(cache.logConst, quad, gamma)
+
+  /** [[responsibilities]] from the log-constants alone — all a task needs of
+    * the cache, so a closure need not ship the d×d precision matrices.
+    */
+  def responsibilities(logConst: Array[Double], quad: Array[Double],
                        gamma: Array[Double]): Double = {
     val k = quad.length
     var m = Double.NegativeInfinity
     var i = 0
-    while (i < k) { gamma(i) = cache.logConst(i) - 0.5 * quad(i); if (gamma(i) > m) m = gamma(i); i += 1 }
+    while (i < k) { gamma(i) = logConst(i) - 0.5 * quad(i); if (gamma(i) > m) m = gamma(i); i += 1 }
     var z = 0.0
     i = 0
     while (i < k) { gamma(i) = math.exp(gamma(i) - m); z += gamma(i); i += 1 }

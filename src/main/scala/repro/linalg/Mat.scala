@@ -24,13 +24,18 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
   def mv(x: Array[Double]): Array[Double] = {
     require(x.length == cols, s"mv: $cols vs ${x.length}")
     val out = new Array[Double](rows)
+    mvInto(x, out, 0)
+    out
+  }
+
+  /** `out(outOff until outOff + rows) = this * x`, allocation-free. */
+  def mvInto(x: Array[Double], out: Array[Double], outOff: Int): Unit = {
     var i = 0
     while (i < rows) {
       var s = 0.0; var j = 0; val off = i * cols
       while (j < cols) { s += a(off + j) * x(j); j += 1 }
-      out(i) = s; i += 1
+      out(outOff + i) = s; i += 1
     }
-    out
   }
 
   /** Transposed matrix–vector product `thisᵀ * x`. */
@@ -124,10 +129,18 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
   /** `this += s * x yᵀ` in place (outer-product accumulation). */
   def addOuter(s: Double, x: Array[Double], y: Array[Double]): Unit = {
     require(x.length == rows && y.length == cols)
+    addOuter(s, x, 0, y, 0)
+  }
+
+  /** `this += s * x' y'ᵀ` in place, where x' = x(xOff until xOff + rows) and
+    * y' = y(yOff until yOff + cols): the outer product of two slices of
+    * flat arrays, without copying them out.
+    */
+  def addOuter(s: Double, x: Array[Double], xOff: Int, y: Array[Double], yOff: Int): Unit = {
     var i = 0
     while (i < rows) {
-      val sxi = s * x(i); val off = i * cols; var j = 0
-      while (j < cols) { a(off + j) += sxi * y(j); j += 1 }
+      val sxi = s * x(xOff + i); val off = i * cols; var j = 0
+      while (j < cols) { a(off + j) += sxi * y(yOff + j); j += 1 }
       i += 1
     }
   }

@@ -10,8 +10,13 @@ object Vec {
   /** Dot product of `a` and `b` (lengths must match). */
   def dot(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length, s"dot: ${a.length} vs ${b.length}")
+    dot(a, 0, b, 0, a.length)
+  }
+
+  /** Dot product of the slices a(aOff until aOff + n) and b(bOff until bOff + n). */
+  def dot(a: Array[Double], aOff: Int, b: Array[Double], bOff: Int, n: Int): Double = {
     var s = 0.0; var i = 0
-    while (i < a.length) { s += a(i) * b(i); i += 1 }
+    while (i < n) { s += a(aOff + i) * b(bOff + i); i += 1 }
     s
   }
 

@@ -60,6 +60,34 @@ class GmmAccumSpec extends AnyFunSuite {
     }
   }
 
+  test("FGmmMultiAccum merge is order-insensitive (flat per-position state, q=2)") {
+    val dims = Array(3, 2); val nR = Array(4, 3)
+    val xr = dims.zip(nR).map { case (di, n) => Array.fill(di * n)(rnd.nextGaussian()) }
+    val pts = Array.fill(50) {
+      val (_, xs, _, g, ll) = randomPoint()
+      (Array(rnd.nextInt(nR(0)), rnd.nextInt(nR(1))), xs, g, ll)
+    }
+    def accumulate(idx: Seq[Int]): FGmmMultiAccum = {
+      val a = new FGmmMultiAccum(k, dS, dims, nR)
+      idx.foreach { i =>
+        val (pos, xs, g, ll) = pts(i)
+        a.add(pos, xs, xr, Array(pos(0) * dims(0), pos(1) * dims(1)), g, ll)
+      }
+      a
+    }
+    val whole = accumulate(pts.indices)
+    val merged = accumulate(30 until 50).merge(accumulate(0 until 12)).merge(accumulate(12 until 30))
+    assert(whole.n == merged.n && whole.orphans == merged.orphans)
+    assert(math.abs(whole.loglik - merged.loglik) < 1e-9)
+    (0 until k).foreach { i =>
+      assert(math.abs(whole.nk(i) - merged.nk(i)) < 1e-9)
+      assert(Vec.maxAbsDiff(whole.sxS(i), merged.sxS(i)) < 1e-9)
+      assert(whole.sxxSS(i).maxAbsDiff(merged.sxxSS(i)) < 1e-9)
+      assert(whole.cross(0)(0)(i).maxAbsDiff(merged.cross(0)(0)(i)) < 1e-9)
+    }
+    (0 until 2).foreach(rel => assert(Vec.maxAbsDiff(whole.perFk(rel), merged.perFk(rel)) < 1e-9))
+  }
+
   test("denormalized and factorized accumulators agree on the final model") {
     val pts = Array.fill(100)(randomPoint())
     val xrOf = (1L to 5L).map(fkv => fkv -> Array.fill(dR)(rnd.nextGaussian())).toMap

@@ -139,6 +139,19 @@ class GmmDecompositionSpec extends AnyFunSuite with PropCheck {
     }
   }
 
+  test("multi-way cross term: pd_mᵀ I_mi pd_i == x_mᵀ t − μ_mᵀ t with t = I_mi pd_i") {
+    check(Gen.zip(Gen.choose(1, 6), Gen.choose(1, 6), Gen.choose(0L, 500L))) {
+      case (dm, di, seed) =>
+        val rnd = new scala.util.Random(seed)
+        val iMI = new Mat(dm, di, Array.fill(dm * di)(rnd.nextGaussian()))
+        val xm = Array.fill(dm)(rnd.nextGaussian() * 4); val muM = Array.fill(dm)(rnd.nextGaussian() * 4)
+        val xi = Array.fill(di)(rnd.nextGaussian() * 4); val muI = Array.fill(di)(rnd.nextGaussian() * 4)
+        val t = iMI.mv(Vec.sub(xi, muI)) // stored once per Ri tuple, with μ_mᵀt
+        val direct = iMI.bilinear(Vec.sub(xm, muM), Vec.sub(xi, muI))
+        assert(math.abs(direct - (Vec.dot(xm, t) - Vec.dot(muM, t))) < 1e-9 * (1 + math.abs(direct)))
+    }
+  }
+
   test("multi-way factorized form with precomputed t-vectors matches (q=2)") {
     val rnd = new scala.util.Random(21)
     val dS = 2; val d1 = 3; val d2 = 4; val d = dS + d1 + d2

@@ -1,5 +1,6 @@
 package repro.core.gmm
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.data.{NormalizedSynth, Store}
 
@@ -11,6 +12,25 @@ import repro.data.{NormalizedSynth, Store}
 class GmmEquivalenceSpec extends SparkSpec {
 
   private val Tol = 1e-7
+
+  /** S-GMM over the inner join and F-GMM multi-way agree after each of two
+    * EM iterations from `init`.
+    */
+  private def assertMultiPerIteration(s: DataFrame, rs: Seq[DataFrame], init: GmmModel,
+                                      dS: Int): Unit = {
+    import spark.implicits._
+    val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
+    var mS = init
+    var mF = init
+    val t = SGmm.joinedMulti(s, rs)
+    (1 to 2).foreach { it =>
+      val (nextS, llS) = DenormGmm.emStep(t, mS)
+      val (nextF, llF) = FGmmMulti.emStep(s, rRows, mF, dS)
+      assert(math.abs(llS - llF) / math.abs(llS) < Tol, s"iter $it loglik: $llS vs $llF")
+      assert(nextS.maxAbsDiff(nextF) < Tol, s"iter $it params diverged")
+      mS = nextS; mF = nextF
+    }
+  }
 
   private lazy val (sDf, rDf) =
     NormalizedSynth.binary(spark, nS = 3000, nR = 30, dS = 3, dR = 4, seed = 77, k = 3)
@@ -68,20 +88,54 @@ class GmmEquivalenceSpec extends SparkSpec {
   test("multi-way: S-GMM and F-GMM produce identical models per iteration (q=2)") {
     val (s, rs) = NormalizedSynth.multiway(spark, nS = 2500, dS = 2,
       specs = Seq((20L, 3), (15L, 4)), seed = 31, k = 3)
-    val d = 2 + 3 + 4
-    val init = GmmModel.init(k = 3, d = d, seed = 10)
+    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 3 + 4, seed = 10), dS = 2)
+  }
+
+  test("multi-way: S-GMM and F-GMM produce identical models per iteration (q=3, unequal widths)") {
+    val (s, rs) = NormalizedSynth.multiway(spark, nS = 2000, dS = 2,
+      specs = Seq((12L, 2), (9L, 5), (7L, 3)), seed = 37, k = 3)
+    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 2 + 5 + 3, seed = 13), dS = 2)
+  }
+
+  test("multi-way: orphan FKs are dropped like the inner join (q=2)") {
+    import org.apache.spark.sql.functions._
+    val (s0, rs) = NormalizedSynth.multiway(spark, nS = 2500, dS = 2,
+      specs = Seq((20L, 3), (15L, 4)), seed = 31, k = 3)
+    // every 97th row references an R2 tuple that does not exist
+    val s = s0.withColumn("fk2", when(col("sid") % 97 === 0, lit(999L)).otherwise(col("fk2")))
+    val orphans = s.where(col("fk2") === 999L).count()
+    assert(orphans > 0)
+    val init = GmmModel.init(k = 3, d = 9, seed = 10)
     import spark.implicits._
     val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
-    var mS = init
-    var mF = init
-    val t = SGmm.joinedMulti(s, rs)
-    (1 to 2).foreach { it =>
-      val (nextS, llS) = DenormGmm.emStep(t, mS)
-      val (nextF, llF) = FGmmMulti.emStep(s, rRows, mF, dS = 2)
-      assert(math.abs(llS - llF) / math.abs(llS) < Tol, s"iter $it loglik: $llS vs $llF")
-      assert(nextS.maxAbsDiff(nextF) < Tol, s"iter $it params diverged")
-      mS = nextS; mF = nextF
-    }
+    val acc = FGmmMulti.pass(FGmmMulti.sRows(s, 2), RRel.all(rRows), init, dS = 2)
+    assert(acc.orphans == orphans && acc.n == 2500 - orphans)
+    assertMultiPerIteration(s, rs, init, dS = 2)
+  }
+
+  test("multi-way: bad R input fails on the driver before any Spark job") {
+    val (s, rs) = NormalizedSynth.multiway(spark, nS = 500, dS = 2,
+      specs = Seq((10L, 3), (8L, 4)), seed = 35, k = 2)
+    import spark.implicits._
+    val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
+    val init = GmmModel.init(k = 2, d = 9, seed = 14)
+    val (dupRid, _) = rRows(1)(3)
+    val dup = Seq(rRows(0), rRows(1) :+ ((dupRid, Array.fill(4)(0.5))))
+    val group = "fgmm-multi-bad-r"
+    spark.sparkContext.setJobGroup(group, "bad R input")
+    val e = try intercept[IllegalArgumentException](FGmmMulti.emStep(s, dup, init, dS = 2))
+            finally spark.sparkContext.clearJobGroup()
+    assert(e.getMessage.contains(s"relation R2 has duplicate rid $dupRid"), e.getMessage)
+    assert(spark.sparkContext.statusTracker.getJobIdsForGroup(group).isEmpty)
+
+    val empty = intercept[IllegalArgumentException](
+      FGmmMulti.emStep(s, Seq(rRows(0), Array.empty[(Long, Array[Double])]), init, dS = 2))
+    assert(empty.getMessage.contains("relation R2 is empty"), empty.getMessage)
+    val (rid1, _) = rRows(0)(2)
+    val ragged = rRows(0).updated(2, (rid1, Array(1.0, 2.0)))
+    val e2 = intercept[IllegalArgumentException](
+      FGmmMulti.emStep(s, Seq(ragged, rRows(1)), init, dS = 2))
+    assert(e2.getMessage.contains(s"relation R1: rid $rid1 has 2 features, expected 3"), e2.getMessage)
   }
 
   test("multi-way trainers agree end to end (M vs F, q=2)") {
