@@ -1,6 +1,7 @@
 package repro.core.gmm
 
 import org.apache.spark.sql.{DataFrame, Encoders}
+import repro.core.iterate
 import repro.linalg.Vec
 
 /** Result of a GMM training run: final model plus the log-likelihood of the
@@ -59,15 +60,7 @@ object DenormGmm {
 
   /** Run `iters` EM iterations (shared driver loop for M-GMM and S-GMM). */
   def train(t: DataFrame, init: GmmModel, iters: Int): GmmFit = {
-    var model = init
-    val lls = Seq.newBuilder[Double]
-    var i = 0
-    while (i < iters) {
-      val (next, ll) = emStep(t, model)
-      model = next
-      lls += ll
-      i += 1
-    }
-    GmmFit(model, lls.result())
+    val (model, lls) = iterate(init, iters)(emStep(t, _))
+    GmmFit(model, lls)
   }
 }

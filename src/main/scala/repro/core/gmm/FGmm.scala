@@ -1,89 +1,12 @@
 package repro.core.gmm
 
-import org.apache.spark.sql.{DataFrame, Encoders}
-import repro.linalg.{Mat, Vec}
-import scala.collection.parallel.CollectionConverters._
+import org.apache.spark.sql.DataFrame
 
-/** Per-R-tuple reusable E-step blocks for one component set (paper Eq. 9–12):
-  * for every component k, `w(k) = I_SR · PDR` (a dS-vector — the tuple's
-  * contribution to the UR+LL cross terms) and `c(k) = PDRᵀ I_RR PDR` (the
-  * LR scalar). Computed **once per R tuple per iteration** and reused for
-  * every matching S tuple — the redundancy elimination at the heart of
-  * F-GMM.
-  */
-private[gmm] final case class RSidePre(w: Array[Array[Double]], c: Array[Double])
-
-/** Partition-local sufficient statistics of the factorized S-side pass:
-  * the usual global S-block sums plus the **per-FK grouped** statistics
-  * (γ-sums and γ-weighted x_S sums) from which the R-side M-step blocks are
-  * finished without ever joining feature vectors.
-  *
-  * Per-FK layout per key: [g_0 … g_{k-1}, sgx_0 (dS) … sgx_{k-1} (dS)].
-  */
-private[gmm] final class FGmmAccum(val k: Int, val dS: Int) extends Serializable {
-  var n: Long = 0L
-  var loglik: Double = 0.0
-  val nk: Array[Double] = new Array[Double](k)
-  val sxS: Array[Array[Double]] = Array.fill(k)(new Array[Double](dS))
-  val sxxSS: Array[Mat] = Array.fill(k)(Mat.zeros(dS, dS))
-  val perFk: java.util.HashMap[Long, Array[Double]] = new java.util.HashMap()
-
-  @inline def fkSlot(fk: Long): Array[Double] = {
-    var a = perFk.get(fk)
-    if (a == null) { a = new Array[Double](k * (1 + dS)); perFk.put(fk, a) }
-    a
-  }
-
-  def add(fk: Long, xs: Array[Double], gamma: Array[Double], ll: Double): Unit = {
-    n += 1; loglik += ll
-    val slot = fkSlot(fk)
-    var i = 0
-    while (i < k) {
-      val g = gamma(i)
-      nk(i) += g
-      Vec.axpy(g, xs, sxS(i))
-      sxxSS(i).addOuter(g, xs, xs)
-      slot(i) += g
-      val off = k + i * dS
-      var j = 0
-      while (j < dS) { slot(off + j) += g * xs(j); j += 1 }
-      i += 1
-    }
-  }
-
-  def merge(o: FGmmAccum): FGmmAccum = {
-    require(o.k == k && o.dS == dS)
-    n += o.n; loglik += o.loglik
-    var i = 0
-    while (i < k) {
-      nk(i) += o.nk(i)
-      Vec.addInPlace(sxS(i), o.sxS(i))
-      sxxSS(i).addInPlace(o.sxxSS(i))
-      i += 1
-    }
-    val it = o.perFk.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      Vec.addInPlace(fkSlot(e.getKey), e.getValue)
-    }
-    this
-  }
-}
-
-/** Algorithm F-GMM for binary joins (paper §V-B): EM with every per-tuple
-  * matrix expression factorized into S-only and R-only blocks.
-  *
-  * Each iteration:
-  *  1. driver precomputes, per R tuple and component, the reusable E-step
-  *     blocks [[RSidePre]] — `nR·K` small kernels instead of `nS·K`;
-  *  2. one aggregation pass over **S alone** (the custom DataFrame
-  *     aggregation — R features never flow through a join) produces the
-  *     global S-side sums and the per-FK grouped statistics;
-  *  3. the driver finishes the R-side M-step blocks from the grouped
-  *     statistics and the raw R features: one outer product per R tuple
-  *     instead of one per joined tuple.
-  *
-  * The decomposition is exact — models match M-GMM/S-GMM to fp roundoff.
+/** Algorithm F-GMM for binary joins S ⋈ R (paper §V-B): the q = 1 case of
+  * [[FGmmMulti]], reading the FK from S's column `fk`. Per iteration the R
+  * side is precomputed once per R tuple, one pass aggregates S alone, and
+  * the R-side M-step blocks are finished with one kernel per R tuple. The
+  * decomposition is exact — models match M-GMM/S-GMM to fp roundoff.
   */
 object FGmm {
 
@@ -94,149 +17,13 @@ object FGmm {
     */
   def emStep(s: DataFrame, rRows: Array[(Long, Array[Double])], model: GmmModel,
              dS: Int, dR: Int): (GmmModel, Double) = {
-    val spark = s.sparkSession
-    import spark.implicits._
     require(model.d == dS + dR, s"model d=${model.d} != $dS + $dR")
-    val k = model.k
-    val d = model.d
-    val cache = GmmComponentCache(model)
-
-    // Split μ_k and I_k into the S/R blocks of Eq. (8)–(12).
-    val muS = model.means.map(Vec.slice(_, 0, dS))
-    val muR = model.means.map(Vec.slice(_, dS, d))
-    val iSS = cache.inv.map(_.block(0, dS, 0, dS))
-    val iSR = cache.inv.map(_.block(0, dS, dS, d))
-    val iRR = cache.inv.map(_.block(dS, d, dS, d))
-
-    // (1) per-R-tuple reusable blocks, once per iteration (independent per
-    // tuple — computed on all driver cores).
-    val preEntries = rRows.par.map { case (rid, xr) =>
-      val w = new Array[Array[Double]](k)
-      val c = new Array[Double](k)
-      var i = 0
-      while (i < k) {
-        val pdr = Vec.sub(xr, muR(i))
-        w(i) = iSR(i).mv(pdr)
-        c(i) = iRR(i).quadForm(pdr)
-        i += 1
-      }
-      (rid, RSidePre(w, c))
-    }.toArray
-    val pre = new java.util.HashMap[Long, RSidePre](rRows.length * 2)
-    preEntries.foreach { case (rid, p) => pre.put(rid, p) }
-    val bc = spark.sparkContext.broadcast(pre)
-
-    // (2) the factorized aggregation pass over S only.
-    implicit val accEnc = Encoders.kryo[FGmmAccum]
-    val acc =
-      try {
-        s.select("fk", "xs").as[(Long, Array[Double])]
-          .mapPartitions { it =>
-            val a = new FGmmAccum(k, dS)
-            val gamma = new Array[Double](k)
-            val quad = new Array[Double](k)
-            val lookup = bc.value
-            it.foreach { case (fk, xs) =>
-              val p = lookup.get(fk)
-              var i = 0
-              while (i < k) {
-                val pds = Vec.sub(xs, muS(i))
-                // Eq. (7) = UL + 2·(cross) + LR with the R-only parts reused
-                quad(i) = iSS(i).quadForm(pds) + 2.0 * Vec.dot(pds, p.w(i)) + p.c(i)
-                i += 1
-              }
-              val ll = GmmMath.responsibilities(cache, quad, gamma)
-              a.add(fk, xs, gamma, ll)
-            }
-            Iterator.single(a)
-          }
-          .reduce(_.merge(_))
-      } finally bc.destroy()
-
-    // (3) finish the R-side blocks: one kernel per R tuple.
-    val model2 = finishBinary(acc, rRows, k, dS, dR)
-    (model2, acc.loglik)
-  }
-
-  private def finishBinary(acc: FGmmAccum, rRows: Array[(Long, Array[Double])],
-                           k: Int, dS: Int, dR: Int): GmmModel = {
-    val d = dS + dR
-    // One kernel per R tuple, parallelized over chunks with a cheap merge.
-    val chunkSize = math.max(64, rRows.length / 64)
-    val partials = rRows.grouped(chunkSize).toArray.par.map { chunk =>
-      val sxR = Array.fill(k)(new Array[Double](dR))
-      val ur  = Array.fill(k)(Mat.zeros(dS, dR))
-      val lr  = Array.fill(k)(Mat.zeros(dR, dR))
-      chunk.foreach { case (rid, xr) =>
-        val slot = acc.perFk.get(rid)
-        if (slot != null) {
-          var i = 0
-          while (i < k) {
-            val g = slot(i)
-            if (g != 0.0) {
-              Vec.axpy(g, xr, sxR(i))
-              lr(i).addOuter(g, xr, xr)
-            }
-            val sgx = Vec.slice(slot, k + i * dS, k + (i + 1) * dS)
-            ur(i).addOuter(1.0, sgx, xr)
-            i += 1
-          }
-        }
-      }
-      (sxR, ur, lr)
-    }.toArray
-    val sxR = Array.fill(k)(new Array[Double](dR))
-    val ur  = Array.fill(k)(Mat.zeros(dS, dR))
-    val lr  = Array.fill(k)(Mat.zeros(dR, dR))
-    partials.foreach { case (psxR, pur, plr) =>
-      var i = 0
-      while (i < k) {
-        Vec.addInPlace(sxR(i), psxR(i))
-        ur(i).addInPlace(pur(i))
-        lr(i).addInPlace(plr(i))
-        i += 1
-      }
-    }
-    val weights = new Array[Double](k)
-    val means   = new Array[Array[Double]](k)
-    val covs    = new Array[Mat](k)
-    var i = 0
-    while (i < k) {
-      weights(i) = acc.nk(i) / acc.n
-      means(i) = Vec.concat(Vec.scale(1.0 / acc.nk(i), acc.sxS(i)),
-                            Vec.scale(1.0 / acc.nk(i), sxR(i)))
-      val sxx = Mat.zeros(d, d) // Eq. (14) block assembly: [UL UR; LL LR]
-      sxx.setBlock(0, 0, acc.sxxSS(i))
-      sxx.setBlock(0, dS, ur(i))
-      sxx.setBlock(dS, 0, ur(i).transpose)
-      sxx.setBlock(dS, dS, lr(i))
-      val c = sxx.scaled(1.0 / acc.nk(i))
-      c.addOuter(-1.0, means(i), means(i))
-      c.symmetrize()
-      covs(i) = c
-      i += 1
-    }
-    GmmModel(weights, means, covs)
+    FGmmMulti.emStep(s, Seq("fk"), Seq(rRows), model, dS)
   }
 
   /** Collect R once (nR ≪ nS by the paper's setup) and run `iters`
     * factorized EM iterations.
     */
-  def train(s: DataFrame, r: DataFrame, init: GmmModel, iters: Int): GmmFit = {
-    val spark = s.sparkSession
-    import spark.implicits._
-    val rRows = r.select("rid", "xr").as[(Long, Array[Double])].collect()
-    val dR = rRows.head._2.length
-    val dS = init.d - dR
-    var model = init
-    val lls = Seq.newBuilder[Double]
-    var i = 0
-    while (i < iters) {
-      val (next, ll) = emStep(s, rRows, model, dS, dR)
-      model = next
-      lls += ll
-      i += 1
-    }
-    GmmFit(model, lls.result())
-  }
+  def train(s: DataFrame, r: DataFrame, init: GmmModel, iters: Int): GmmFit =
+    FGmmMulti.train(s, Seq("fk"), Seq(r), init, iters)
 }

@@ -3,64 +3,9 @@ package repro.core.gmm
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col}
+import repro.core.{RRel, iterate}
 import repro.linalg.{Mat, Vec}
 import scala.collection.parallel.CollectionConverters._
-
-/** Open-addressing map rid → position over primitive arrays: the dense index
-  * of one attribute relation, probed once per S row without boxing a key.
-  * Holds at most `n` keys (capacity ≥ 2n, linear probing).
-  */
-private[gmm] final class RidIndex(n: Int) extends Serializable {
-  private val mask = Integer.highestOneBit(math.max(n, 1) * 2) * 2 - 1
-  private val keys = new Array[Long](mask + 1)
-  private val vals = Array.fill(mask + 1)(-1)
-
-  @inline private def find(rid: Long): Int = {
-    var h = java.lang.Long.hashCode(rid * 0x9E3779B97F4A7C15L) & mask
-    while (vals(h) >= 0 && keys(h) != rid) h = (h + 1) & mask
-    h
-  }
-
-  /** Position of `rid`, or −1 when the relation has no such tuple. */
-  def apply(rid: Long): Int = vals(find(rid))
-
-  /** Map `rid` to `pos`, unless it is already mapped; returns the earlier
-    * position, or −1 when `rid` is new.
-    */
-  def put(rid: Long, pos: Int): Int = {
-    val h = find(rid)
-    val prev = vals(h)
-    if (prev < 0) { keys(h) = rid; vals(h) = pos }
-    prev
-  }
-}
-
-/** One collected attribute relation Ri, checked and indexed once on the
-  * driver before any Spark job: the rows keep their collected order, tuple
-  * `pos` is `rows(pos)`, and `index` maps each rid to its position. Input
-  * the inner join would not define as a key lookup — an empty relation, a
-  * duplicate rid, null or ragged features — is rejected here, naming the
-  * relation and the key.
-  */
-private[gmm] final class RRel(val name: String, val rows: Array[(Long, Array[Double])]) {
-  require(rows.nonEmpty, s"relation $name is empty")
-  val width: Int = Option(rows.head._2).fold(0)(_.length) // a null head fails below
-  val index: RidIndex = new RidIndex(rows.length)
-  rows.indices.foreach { pos =>
-    val (rid, xr) = rows(pos)
-    require(xr != null, s"relation $name: rid $rid has null features")
-    require(xr.length == width,
-      s"relation $name: rid $rid has ${xr.length} features, expected $width (as rid ${rows.head._1})")
-    val prev = index.put(rid, pos)
-    require(prev < 0, s"relation $name has duplicate rid $rid (rows $prev and $pos)")
-  }
-}
-
-private[gmm] object RRel {
-  /** R1 … Rq in join order (Ri is referenced by S column `fk<i>`). */
-  def all(rRows: Seq[Array[(Long, Array[Double])]]): Array[RRel] =
-    rRows.zipWithIndex.map { case (rows, i) => new RRel(s"R${i + 1}", rows) }.toArray
-}
 
 /** Layout of the flat per-Ri precompute (paper §V-C, Eq. 19–21), one
   * `Array[Double]` per relation. Tuple `pos` of Ri occupies `stride(i)`
@@ -166,10 +111,11 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
   }
 }
 
-/** Algorithm F-GMM for multi-way joins S ⋈ R1 ⋈ … ⋈ Rq (paper §V-C).
-  * The quadratic form decomposes into (q+1)² block terms (Eq. 19); all
-  * Ri-only terms and all vectors `I_mn · PD` are precomputed once per Ri
-  * tuple, so the per-S-row cost no longer scales with Σ dRi².
+/** Algorithm F-GMM for joins S ⋈ R1 ⋈ … ⋈ Rq (paper §V-C); the binary
+  * join of §V-B is the case q = 1 ([[FGmm]]). The quadratic form
+  * decomposes into (q+1)² block terms (Eq. 19); all Ri-only terms and all
+  * vectors `I_mn · PD` are precomputed once per Ri tuple, so the per-S-row
+  * cost no longer scales with Σ dRi².
   *
   * Each iteration extracts the precision blocks once per component, fills
   * one flat [[PreLayout]] array per relation on all driver cores, broadcasts
@@ -181,21 +127,20 @@ object FGmmMulti {
 
   /** One factorized EM iteration; `rRows(i)` is the collected R_{i+1}. */
   def emStep(s: DataFrame, rRows: Seq[Array[(Long, Array[Double])]], model: GmmModel,
-             dS: Int): (GmmModel, Double) = {
+             dS: Int): (GmmModel, Double) =
+    emStep(s, RRel.fkCols(rRows.length), rRows, model, dS)
+
+  /** [[emStep]] over S's FK columns `fks`, where `fks(i)` references `rRows(i)`. */
+  private[gmm] def emStep(s: DataFrame, fks: Seq[String], rRows: Seq[Array[(Long, Array[Double])]],
+                          model: GmmModel, dS: Int): (GmmModel, Double) = {
     val rels = RRel.all(rRows)
-    step(sRows(s, rels.length), rels, model, dS)
+    step(sRows(s, fks), rels, model, dS)
   }
 
   private def step(sRows: RDD[(Array[Long], Array[Double])], rels: Array[RRel], model: GmmModel,
                    dS: Int): (GmmModel, Double) = {
     val acc = pass(sRows, rels, model, dS)
     (finish(acc, rels, dS), acc.loglik)
-  }
-
-  /** Ranges of at least 64 positions (about 64 ranges at most) for the driver's parallel loops. */
-  private def chunks(n: Int): Seq[Range] = {
-    val size = math.max(64, n / 64)
-    (0 until n by size).map(from => from until math.min(n, from + size))
   }
 
   /** The per-Ri-tuple reusable blocks of every relation, laid out by `lay`. */
@@ -214,7 +159,7 @@ object FGmmMulti {
       val rows = rels(i).rows
       val di = dims(i)
       val pre = new Array[Double](rows.length * lay.stride(i))
-      chunks(rows.length).par.foreach { range =>
+      rels(i).chunks.par.foreach { range =>
         val pd = new Array[Double](di)
         range.foreach { pos =>
           val xr = rows(pos)._2
@@ -243,10 +188,12 @@ object FGmmMulti {
     }
   }
 
-  /** S as (fk1 … fkq, xs) rows: planned once, scanned again by every pass. */
-  private[gmm] def sRows(s: DataFrame, q: Int): RDD[(Array[Long], Array[Double])] = {
+  /** S as (FKs, xs) rows, reading the FK of each relation from the
+    * column named in `fks`: planned once, scanned again by every pass.
+    */
+  private[gmm] def sRows(s: DataFrame, fks: Seq[String]): RDD[(Array[Long], Array[Double])] = {
     import s.sparkSession.implicits._
-    s.select(array((1 to q).map(i => col(s"fk$i")): _*) as "fks", col("xs"))
+    s.select(array(fks.map(col): _*) as "fks", col("xs"))
       .as[(Array[Long], Array[Double])].rdd
   }
 
@@ -323,15 +270,16 @@ object FGmmMulti {
     * Σ γ x_r x_rᵀ — one kernel per Ri tuple, read from the flat state, over
     * chunks in parallel.
     */
-  private def finishRel(state: Array[Double], rows: Array[(Long, Array[Double])], k: Int,
-                        dS: Int, di: Int): (Array[Array[Double]], Array[Mat], Array[Mat]) = {
+  private def finishRel(state: Array[Double], rel: RRel, k: Int,
+                        dS: Int): (Array[Array[Double]], Array[Mat], Array[Mat]) = {
     val w = k * (1 + dS)
-    chunks(rows.length).par.map { range =>
+    val di = rel.width
+    rel.chunks.par.map { range =>
       val sxR = Array.fill(k)(new Array[Double](di))
       val ur  = Array.fill(k)(Mat.zeros(dS, di))
       val lr  = Array.fill(k)(Mat.zeros(di, di))
       range.foreach { pos =>
-        val xr = rows(pos)._2
+        val xr = rel.rows(pos)._2
         val base = pos * w
         var i = 0
         while (i < k) {
@@ -357,14 +305,14 @@ object FGmmMulti {
   }
 
   /** M-step: finish the R-side blocks and assemble each covariance (Eq. 23). */
-  private def finish(acc: FGmmMultiAccum, rels: Array[RRel], dS: Int): GmmModel = {
+  private[gmm] def finish(acc: FGmmMultiAccum, rels: Array[RRel], dS: Int): GmmModel = {
     val k = acc.k
     val q = acc.q
     val dims = acc.dims
     val offs = dims.scanLeft(dS)(_ + _)
     val d = offs(q)
     val (sxR, ur, lr) = Array.tabulate(q)(rel =>
-      finishRel(acc.perFk(rel), rels(rel).rows, k, dS, dims(rel))).unzip3
+      finishRel(acc.perFk(rel), rels(rel), k, dS)).unzip3
 
     val weights = new Array[Double](k)
     val means   = new Array[Array[Double]](k)
@@ -399,21 +347,16 @@ object FGmmMulti {
   /** Collect, check and index each Ri once, then run `iters` factorized EM
     * iterations.
     */
-  def train(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit = {
-    val spark = s.sparkSession
-    import spark.implicits._
-    val rels = RRel.all(rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect()))
+  def train(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit =
+    train(s, RRel.fkCols(rs.length), rs, init, iters)
+
+  /** [[train]] over S's FK columns `fks`, where `fks(i)` references `rs(i)`. */
+  private[gmm] def train(s: DataFrame, fks: Seq[String], rs: Seq[DataFrame], init: GmmModel,
+                         iters: Int): GmmFit = {
+    val rels = RRel.collect(rs)
     val dS = init.d - rels.map(_.width).sum
-    val rows = sRows(s, rels.length)
-    var model = init
-    val lls = Seq.newBuilder[Double]
-    var i = 0
-    while (i < iters) {
-      val (next, ll) = step(rows, rels, model, dS)
-      model = next
-      lls += ll
-      i += 1
-    }
-    GmmFit(model, lls.result())
+    val rows = sRows(s, fks)
+    val (model, lls) = iterate(init, iters)(step(rows, rels, _, dS))
+    GmmFit(model, lls)
   }
 }

@@ -17,14 +17,17 @@ object SGmm {
     * R-side features concatenated into a single `xr` block (offsets are
     * positional, paper §IV).
     */
-  def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = {
+  def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = joinedMulti(s, rs, Nil)
+
+  /** [[joinedMulti]] that also keeps S's columns `keep` (e.g. the target `y`). */
+  private[core] def joinedMulti(s: DataFrame, rs: Seq[DataFrame], keep: Seq[String]): DataFrame = {
     var t = s
     val xrCols = rs.indices.map(i => s"xr${i + 1}")
     rs.zipWithIndex.foreach { case (r, i) =>
       val ri = r.withColumnRenamed("rid", s"rid${i + 1}").withColumnRenamed("xr", s"xr${i + 1}")
       t = t.join(ri, t(s"fk${i + 1}") === ri(s"rid${i + 1}"))
     }
-    t.select(col("sid"), col("xs"), concat(xrCols.map(col): _*) as "xr")
+    t.select(Seq(col("sid"), col("xs"), concat(xrCols.map(col): _*) as "xr") ++ keep.map(col): _*)
   }
 
   def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit =

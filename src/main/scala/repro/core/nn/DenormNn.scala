@@ -1,6 +1,7 @@
 package repro.core.nn
 
 import org.apache.spark.sql.{DataFrame, Encoders}
+import repro.core.iterate
 import repro.linalg.{Mat, Vec}
 
 /** Result of an NN training run: final model plus the mean-squared-error
@@ -92,15 +93,7 @@ object DenormNn {
 
   /** Run `epochs` full-batch GD epochs (shared loop for M-NN and S-NN). */
   def train(t: DataFrame, init: NnModel, epochs: Int, lr: Double): NnFit = {
-    var model = init
-    val losses = Seq.newBuilder[Double]
-    var i = 0
-    while (i < epochs) {
-      val (next, loss) = epoch(t, model, lr)
-      model = next
-      losses += loss
-      i += 1
-    }
-    NnFit(model, losses.result())
+    val (model, losses) = iterate(init, epochs)(epoch(t, _, lr))
+    NnFit(model, losses)
   }
 }

@@ -1,144 +1,20 @@
 package repro.core.nn
 
-import org.apache.spark.sql.{DataFrame, Encoders}
-import repro.linalg.{Mat, Vec}
+import org.apache.spark.sql.DataFrame
 
-/** Partition-local statistics of the factorized S-side backprop pass:
-  * the S-block gradient sums plus the **per-FK grouped δ-sums** from which
-  * ∂E/∂W1_R is finished with one outer product per R tuple.
-  */
-private[nn] final class FNnAccum(val nh: Int, val dS: Int) extends Serializable {
-  var n: Long = 0L
-  var sqErr: Double = 0.0
-  val dW1S: Mat = Mat.zeros(nh, dS)
-  val db1: Array[Double] = new Array[Double](nh)
-  val dW2: Array[Double] = new Array[Double](nh)
-  var db2: Double = 0.0
-  val perFk: java.util.HashMap[Long, Array[Double]] = new java.util.HashMap()
-
-  @inline def fkSlot(fk: Long): Array[Double] = {
-    var a = perFk.get(fk)
-    if (a == null) { a = new Array[Double](nh); perFk.put(fk, a) }
-    a
-  }
-
-  def merge(o: FNnAccum): FNnAccum = {
-    require(o.nh == nh && o.dS == dS)
-    n += o.n; sqErr += o.sqErr; db2 += o.db2
-    dW1S.addInPlace(o.dW1S)
-    Vec.addInPlace(db1, o.db1)
-    Vec.addInPlace(dW2, o.dW2)
-    val it = o.perFk.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      Vec.addInPlace(fkSlot(e.getKey), e.getValue)
-    }
-    this
-  }
-}
-
-/** Algorithm F-NN for binary joins (paper §VI-A).
-  *
-  * Forward (§VI-A1): the first-layer pre-activation decomposes as
-  * `a = W1_S x_S + (W1_R x_R + b1)`; the parenthesized `nh`-vector is
-  * computed **once per R tuple per epoch** and reused for every matching S
-  * tuple — per-S-row forward cost drops from nh·d to nh·dS.
-  *
-  * Backward (§VI-A3): `∂E/∂W1 = ∂E/∂a · xᵀ` splits into [PG_S | PG_R];
-  * PG_R is finished from per-FK grouped δ-sums (`Σ_{fk=r} δ`) with one
-  * outer product per R tuple — the same exact identity the paper uses to
-  * avoid reading the redundant x_R fields of T, carried into the compute.
-  *
-  * Per the paper's recommendation (§VI-A2), no factorization is attempted
-  * beyond the first layer: sigmoid/tanh are not additive and even for
-  * additive activations the op count increases (see [[Additivity]]).
+/** Algorithm F-NN for binary joins S ⋈ R (paper §VI-A): the q = 1 case of
+  * [[FNnMulti]], reading the FK from S's column `fk`. `W1_R x_r` is computed
+  * once per R tuple per epoch and reused for every matching S tuple, and
+  * PG_R is finished from per-FK grouped δ-sums with one outer product per R
+  * tuple.
   */
 object FNn {
 
   def epoch(s: DataFrame, rRows: Array[(Long, Array[Double])], model: NnModel,
-            lr: Double, dS: Int): (NnModel, Double) = {
-    val spark = s.sparkSession
-    import spark.implicits._
-    val nh = model.nh; val d = model.d
-    val dR = d - dS
-    require(rRows.head._2.length == dR, s"R width ${rRows.head._2.length} != $dR")
-    val w1S = model.w1.block(0, nh, 0, dS)
-    val w1R = model.w1.block(0, nh, dS, d)
-    val b1 = model.b1; val w2 = model.w2; val b2 = model.b2
-    val act = model.activation
-
-    // (1) per-R-tuple reusable partial pre-activation: W1_R x_r + b1
-    val pre = new java.util.HashMap[Long, Array[Double]](rRows.length * 2)
-    rRows.foreach { case (rid, xr) =>
-      val p = w1R.mv(xr)
-      Vec.addInPlace(p, b1)
-      pre.put(rid, p)
-    }
-    val bc = spark.sparkContext.broadcast(pre)
-
-    // (2) the factorized S-side pass — R features never flow through a join
-    implicit val accEnc = Encoders.kryo[FNnAccum]
-    val acc =
-      try {
-        s.select("fk", "xs", "y").as[(Long, Array[Double], Double)]
-          .mapPartitions { it =>
-            val a = new FNnAccum(nh, dS)
-            val lookup = bc.value
-            it.foreach { case (fk, xs, y) =>
-              val p = lookup.get(fk)
-              val preAct = w1S.mv(xs) // nh·dS instead of nh·d
-              Vec.addInPlace(preAct, p)
-              var o = b2
-              var j = 0
-              while (j < nh) { o += w2(j) * act.f(preAct(j)); j += 1 }
-              val e = o - y
-              a.n += 1; a.sqErr += e * e; a.db2 += e
-              val delta = new Array[Double](nh)
-              j = 0
-              while (j < nh) {
-                a.dW2(j) += e * act.f(preAct(j))
-                delta(j) = e * w2(j) * act.fPrime(preAct(j))
-                a.db1(j) += delta(j)
-                j += 1
-              }
-              a.dW1S.addOuter(1.0, delta, xs)          // PG_S
-              Vec.addInPlace(a.fkSlot(fk), delta)      // grouped δ for PG_R
-            }
-            Iterator.single(a)
-          }
-          .reduce(_.merge(_))
-      } finally bc.destroy()
-
-    // (3) finish PG_R: one outer product per R tuple
-    val dW1R = Mat.zeros(nh, dR)
-    rRows.foreach { case (rid, xr) =>
-      val sd = acc.perFk.get(rid)
-      if (sd != null) dW1R.addOuter(1.0, sd, xr)
-    }
-    val inv = 1.0 / acc.n
-    val dW1 = Mat.zeros(nh, d)
-    dW1.setBlock(0, 0, acc.dW1S)
-    dW1.setBlock(0, dS, dW1R)
-    val grads = NnGrads(dW1.scaled(inv), Vec.scale(inv, acc.db1),
-                        Vec.scale(inv, acc.dW2), acc.db2 * inv)
-    (model.step(grads, lr), acc.sqErr * 0.5 * inv)
-  }
+            lr: Double, dS: Int): (NnModel, Double) =
+    FNnMulti.epoch(s, Seq("fk"), Seq(rRows), model, lr, dS)
 
   /** Collect R once (nR ≪ nS) and run `epochs` factorized epochs. */
-  def train(s: DataFrame, r: DataFrame, init: NnModel, epochs: Int, lr: Double): NnFit = {
-    val spark = s.sparkSession
-    import spark.implicits._
-    val rRows = r.select("rid", "xr").as[(Long, Array[Double])].collect()
-    val dS = init.d - rRows.head._2.length
-    var model = init
-    val losses = Seq.newBuilder[Double]
-    var i = 0
-    while (i < epochs) {
-      val (next, loss) = epoch(s, rRows, model, lr, dS)
-      model = next
-      losses += loss
-      i += 1
-    }
-    NnFit(model, losses.result())
-  }
+  def train(s: DataFrame, r: DataFrame, init: NnModel, epochs: Int, lr: Double): NnFit =
+    FNnMulti.train(s, Seq("fk"), Seq(r), init, epochs, lr)
 }

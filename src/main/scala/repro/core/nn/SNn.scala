@@ -1,7 +1,7 @@
 package repro.core.nn
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import repro.core.gmm.SGmm
 
 /** Algorithm S-NN: the join is recomputed on the fly every epoch (lazy
   * DataFrame, no materialization); compute is identical to M-NN.
@@ -12,15 +12,7 @@ object SNn {
     DenormNn.train(DenormNn.joined(s, r), init, epochs, lr)
 
   /** Multi-way T(sid, xs, xr = concat(xr1…xrq), y). */
-  def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = {
-    var t = s
-    rs.zipWithIndex.foreach { case (r, i) =>
-      val ri = r.withColumnRenamed("rid", s"rid${i + 1}").withColumnRenamed("xr", s"xr${i + 1}")
-      t = t.join(ri, t(s"fk${i + 1}") === ri(s"rid${i + 1}"))
-    }
-    t.select(col("sid"), col("xs"),
-             concat(rs.indices.map(i => col(s"xr${i + 1}")): _*) as "xr", col("y"))
-  }
+  def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = SGmm.joinedMulti(s, rs, Seq("y"))
 
   def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit =
     DenormNn.train(joinedMulti(s, rs), init, epochs, lr)

@@ -6,10 +6,9 @@ import org.apache.spark.sql.types._
 
 /** Synthetic *normalized* relation pairs for the paper's schema
   * (Section IV): S(sid, fk, xs[, y]) with a PK/FK reference into
-  * R(rid, xr). This extends the TPC-H-lite generators in [[repro.SynthData]]
-  * with the mixture-of-Gaussians feature data the paper evaluates on
-  * ("synthetic data sampling from multiple Gaussian distributions and add
-  * random noise", §VII-A) plus one-hot "Sparse" variants and the
+  * R(rid, xr), with the mixture-of-Gaussians feature data the paper
+  * evaluates on ("synthetic data sampling from multiple Gaussian
+  * distributions and add random noise", §VII-A) plus one-hot "Sparse" variants and the
   * dimension-faithful surrogates for the Hamlet real datasets (Tables IV/V).
   *
   * All generators are deterministic in (sizes, seed): every stochastic

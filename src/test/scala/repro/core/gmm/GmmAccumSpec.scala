@@ -1,6 +1,7 @@
 package repro.core.gmm
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.RRel
 import repro.linalg.Vec
 
 /** Unit tests of the sufficient-statistics accumulators: partition-merge
@@ -42,72 +43,56 @@ class GmmAccumSpec extends AnyFunSuite {
     }
   }
 
-  test("FGmmAccum merge combines per-FK slots correctly") {
-    val pts = Array.fill(40)(randomPoint())
-    def accumulate(idx: Seq[Int]): FGmmAccum = {
-      val a = new FGmmAccum(k, dS)
-      idx.foreach { i =>
-        val (fk, xs, _, g, ll) = pts(i)
-        a.add(fk, xs, g, ll)
-      }
-      a
-    }
-    val whole = accumulate(pts.indices)
-    val merged = accumulate(0 until 15).merge(accumulate(15 until 40))
-    assert(whole.perFk.size() == merged.perFk.size())
-    whole.perFk.forEach { (fk, slot) =>
-      assert(Vec.maxAbsDiff(slot, merged.perFk.get(fk)) < 1e-9)
-    }
-  }
-
   test("FGmmMultiAccum merge is order-insensitive (flat per-position state, q=2)") {
-    val dims = Array(3, 2); val nR = Array(4, 3)
-    val xr = dims.zip(nR).map { case (di, n) => Array.fill(di * n)(rnd.nextGaussian()) }
-    val pts = Array.fill(50) {
-      val (_, xs, _, g, ll) = randomPoint()
-      (Array(rnd.nextInt(nR(0)), rnd.nextInt(nR(1))), xs, g, ll)
-    }
-    def accumulate(idx: Seq[Int]): FGmmMultiAccum = {
-      val a = new FGmmMultiAccum(k, dS, dims, nR)
-      idx.foreach { i =>
-        val (pos, xs, g, ll) = pts(i)
-        a.add(pos, xs, xr, Array(pos(0) * dims(0), pos(1) * dims(1)), g, ll)
+    // q = 1 is the binary join's per-FK state
+    for ((dims, nR) <- Seq((Array(3), Array(5)), (Array(3, 2), Array(4, 3)))) {
+      val q = dims.length
+      val xr = dims.zip(nR).map { case (di, n) => Array.fill(di * n)(rnd.nextGaussian()) }
+      val pts = Array.fill(50) {
+        val (_, xs, _, g, ll) = randomPoint()
+        (nR.map(rnd.nextInt), xs, g, ll)
       }
-      a
+      def accumulate(idx: Seq[Int]): FGmmMultiAccum = {
+        val a = new FGmmMultiAccum(k, dS, dims, nR)
+        idx.foreach { i =>
+          val (pos, xs, g, ll) = pts(i)
+          a.add(pos, xs, xr, pos.indices.map(rel => pos(rel) * dims(rel)).toArray, g, ll)
+        }
+        a
+      }
+      val whole = accumulate(pts.indices)
+      val merged = accumulate(30 until 50).merge(accumulate(0 until 12)).merge(accumulate(12 until 30))
+      assert(whole.n == merged.n && whole.orphans == merged.orphans)
+      assert(math.abs(whole.loglik - merged.loglik) < 1e-9)
+      (0 until k).foreach { i =>
+        assert(math.abs(whole.nk(i) - merged.nk(i)) < 1e-9)
+        assert(Vec.maxAbsDiff(whole.sxS(i), merged.sxS(i)) < 1e-9)
+        assert(whole.sxxSS(i).maxAbsDiff(merged.sxxSS(i)) < 1e-9)
+        for (a <- 0 until q; b <- a + 1 until q)
+          assert(whole.cross(a)(b - a - 1)(i).maxAbsDiff(merged.cross(a)(b - a - 1)(i)) < 1e-9)
+      }
+      (0 until q).foreach(rel => assert(Vec.maxAbsDiff(whole.perFk(rel), merged.perFk(rel)) < 1e-9))
     }
-    val whole = accumulate(pts.indices)
-    val merged = accumulate(30 until 50).merge(accumulate(0 until 12)).merge(accumulate(12 until 30))
-    assert(whole.n == merged.n && whole.orphans == merged.orphans)
-    assert(math.abs(whole.loglik - merged.loglik) < 1e-9)
-    (0 until k).foreach { i =>
-      assert(math.abs(whole.nk(i) - merged.nk(i)) < 1e-9)
-      assert(Vec.maxAbsDiff(whole.sxS(i), merged.sxS(i)) < 1e-9)
-      assert(whole.sxxSS(i).maxAbsDiff(merged.sxxSS(i)) < 1e-9)
-      assert(whole.cross(0)(0)(i).maxAbsDiff(merged.cross(0)(0)(i)) < 1e-9)
-    }
-    (0 until 2).foreach(rel => assert(Vec.maxAbsDiff(whole.perFk(rel), merged.perFk(rel)) < 1e-9))
   }
 
   test("denormalized and factorized accumulators agree on the final model") {
-    val pts = Array.fill(100)(randomPoint())
-    val xrOf = (1L to 5L).map(fkv => fkv -> Array.fill(dR)(rnd.nextGaussian())).toMap
+    // the F-GMM engine's accumulator and finish, for q = 1 (binary) and q = 2
+    for (dims <- Seq(Array(dR), Array(dR, 2))) {
+      val q = dims.length
+      val xrOf = dims.map(di => (1L to 5L).map(_ -> Array.fill(di)(rnd.nextGaussian())).toMap)
+      val rels = RRel.all(xrOf.toSeq.map(_.toArray))
+      val flat = rels.map(_.rows.flatMap(_._2))
 
-    val denorm = new GmmAccum(k, d)
-    val fact = new FGmmAccum(k, dS)
-    pts.foreach { case (fk, xs, _, g, ll) =>
-      denorm.add(Vec.concat(xs, xrOf(fk)), g, ll)
-      fact.add(fk, xs, g, ll)
+      val denorm = new GmmAccum(k, dS + dims.sum)
+      val fact = new FGmmMultiAccum(k, dS, dims, Array.fill(q)(5))
+      Array.fill(100)(randomPoint()).foreach { case (fk, xs, _, g, ll) =>
+        val fks = fk +: Array.fill(q - 1)(rnd.nextInt(5) + 1L)
+        val pos = fks.indices.map(rel => rels(rel).index(fks(rel))).toArray
+        denorm.add(Vec.concat(xs +: fks.indices.map(rel => xrOf(rel)(fks(rel))): _*), g, ll)
+        fact.add(pos, xs, flat, pos.indices.map(rel => pos(rel) * dims(rel)).toArray, g, ll)
+      }
+      assert(denorm.toModel.maxAbsDiff(FGmmMulti.finish(fact, rels, dS)) < 1e-9)
     }
-    val mD = denorm.toModel
-
-    // finish the factorized side the way FGmm.finishBinary does
-    val rRows = xrOf.toArray.map { case (rid, xr) => (rid, xr) }
-    val finish = classOf[FGmm.type].getDeclaredMethods
-      .find(_.getName == "finishBinary").get
-    finish.setAccessible(true)
-    val mF = finish.invoke(FGmm, fact, rRows, Int.box(k), Int.box(dS), Int.box(dR))
-      .asInstanceOf[GmmModel]
-    assert(mD.maxAbsDiff(mF) < 1e-9)
   }
 
   test("toModel yields normalized weights and mean of the weighted points") {

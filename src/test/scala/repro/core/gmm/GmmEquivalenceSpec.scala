@@ -2,6 +2,8 @@ package repro.core.gmm
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.core.RRel
+import repro.core.nn.{FNn, NnModel}
 import repro.data.{NormalizedSynth, Store}
 
 /** The paper's central claim (§V-B end): M-GMM, S-GMM and F-GMM produce the
@@ -13,19 +15,20 @@ class GmmEquivalenceSpec extends SparkSpec {
 
   private val Tol = 1e-7
 
-  /** S-GMM over the inner join and F-GMM multi-way agree after each of two
-    * EM iterations from `init`.
+  /** S-GMM over the inner join and the F-GMM engine agree after each of two
+    * EM iterations from `init`. `fks(i)` names S's FK column into `rs(i)`:
+    * `fk` for the binary join, `fk1 … fkq` for a multi-way join.
     */
   private def assertMultiPerIteration(s: DataFrame, rs: Seq[DataFrame], init: GmmModel,
-                                      dS: Int): Unit = {
+                                      dS: Int, fks: Seq[String]): Unit = {
     import spark.implicits._
     val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
     var mS = init
     var mF = init
-    val t = SGmm.joinedMulti(s, rs)
+    val t = if (fks == Seq("fk")) DenormGmm.joined(s, rs.head) else SGmm.joinedMulti(s, rs)
     (1 to 2).foreach { it =>
       val (nextS, llS) = DenormGmm.emStep(t, mS)
-      val (nextF, llF) = FGmmMulti.emStep(s, rRows, mF, dS)
+      val (nextF, llF) = FGmmMulti.emStep(s, fks, rRows, mF, dS)
       assert(math.abs(llS - llF) / math.abs(llS) < Tol, s"iter $it loglik: $llS vs $llF")
       assert(nextS.maxAbsDiff(nextF) < Tol, s"iter $it params diverged")
       mS = nextS; mF = nextF
@@ -49,6 +52,18 @@ class GmmEquivalenceSpec extends SparkSpec {
       assert(nextS.maxAbsDiff(nextF) < Tol, s"iter $it params diverged")
       mS = nextS; mF = nextF
     }
+  }
+
+  test("orphan FKs are dropped like the inner join (binary)") {
+    import org.apache.spark.sql.functions._
+    // every 97th row references an R tuple that does not exist
+    val s = sDf.withColumn("fk", when(col("sid") % 97 === 0, lit(999L)).otherwise(col("fk")))
+    val orphans = s.where(col("fk") === 999L).count()
+    assert(orphans > 0)
+    val init = GmmModel.init(k = 3, d = 7, seed = 5)
+    val acc = FGmmMulti.pass(FGmmMulti.sRows(s, Seq("fk")), RRel.collect(Seq(rDf)), init, dS = 3)
+    assert(acc.orphans == orphans && acc.n == 3000 - orphans)
+    assertMultiPerIteration(s, Seq(rDf), init, dS = 3, Seq("fk"))
   }
 
   test("M-GMM (materialized) equals S-GMM and F-GMM end to end") {
@@ -88,13 +103,15 @@ class GmmEquivalenceSpec extends SparkSpec {
   test("multi-way: S-GMM and F-GMM produce identical models per iteration (q=2)") {
     val (s, rs) = NormalizedSynth.multiway(spark, nS = 2500, dS = 2,
       specs = Seq((20L, 3), (15L, 4)), seed = 31, k = 3)
-    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 3 + 4, seed = 10), dS = 2)
+    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 3 + 4, seed = 10), dS = 2,
+      RRel.fkCols(2))
   }
 
   test("multi-way: S-GMM and F-GMM produce identical models per iteration (q=3, unequal widths)") {
     val (s, rs) = NormalizedSynth.multiway(spark, nS = 2000, dS = 2,
       specs = Seq((12L, 2), (9L, 5), (7L, 3)), seed = 37, k = 3)
-    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 2 + 5 + 3, seed = 13), dS = 2)
+    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 2 + 5 + 3, seed = 13), dS = 2,
+      RRel.fkCols(3))
   }
 
   test("multi-way: orphan FKs are dropped like the inner join (q=2)") {
@@ -108,9 +125,9 @@ class GmmEquivalenceSpec extends SparkSpec {
     val init = GmmModel.init(k = 3, d = 9, seed = 10)
     import spark.implicits._
     val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
-    val acc = FGmmMulti.pass(FGmmMulti.sRows(s, 2), RRel.all(rRows), init, dS = 2)
+    val acc = FGmmMulti.pass(FGmmMulti.sRows(s, RRel.fkCols(2)), RRel.all(rRows), init, dS = 2)
     assert(acc.orphans == orphans && acc.n == 2500 - orphans)
-    assertMultiPerIteration(s, rs, init, dS = 2)
+    assertMultiPerIteration(s, rs, init, dS = 2, RRel.fkCols(2))
   }
 
   test("multi-way: bad R input fails on the driver before any Spark job") {
@@ -121,11 +138,24 @@ class GmmEquivalenceSpec extends SparkSpec {
     val init = GmmModel.init(k = 2, d = 9, seed = 14)
     val (dupRid, _) = rRows(1)(3)
     val dup = Seq(rRows(0), rRows(1) :+ ((dupRid, Array.fill(4)(0.5))))
+    // a duplicate rid in a binary R (q = 1) fails the same way in F-GMM and F-NN
+    val (sB, rB0) = NormalizedSynth.binary(spark, nS = 300, nR = 10, dS = 2, dR = 3, seed = 39,
+      withTarget = true)
+    val rB = rB0.select("rid", "xr").as[(Long, Array[Double])].collect()
+    val (dupRidB, _) = rB(4)
+    val dupB = rB :+ ((dupRidB, Array.fill(3)(0.5)))
     val group = "fgmm-multi-bad-r"
     spark.sparkContext.setJobGroup(group, "bad R input")
-    val e = try intercept[IllegalArgumentException](FGmmMulti.emStep(s, dup, init, dS = 2))
-            finally spark.sparkContext.clearJobGroup()
+    val (e, eG, eN) =
+      try (intercept[IllegalArgumentException](FGmmMulti.emStep(s, dup, init, dS = 2)),
+           intercept[IllegalArgumentException](
+             FGmm.emStep(sB, dupB, GmmModel.init(k = 2, d = 5, seed = 14), dS = 2, dR = 3)),
+           intercept[IllegalArgumentException](
+             FNn.epoch(sB, dupB, NnModel.init(nh = 3, d = 5, seed = 14), lr = 0.05, dS = 2)))
+      finally spark.sparkContext.clearJobGroup()
     assert(e.getMessage.contains(s"relation R2 has duplicate rid $dupRid"), e.getMessage)
+    Seq(eG, eN).foreach(eB =>
+      assert(eB.getMessage.contains(s"relation R1 has duplicate rid $dupRidB"), eB.getMessage))
     assert(spark.sparkContext.statusTracker.getJobIdsForGroup(group).isEmpty)
 
     val empty = intercept[IllegalArgumentException](

@@ -1,6 +1,8 @@
 package repro.core.nn
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.core.RRel
 import repro.data.{NormalizedSynth, Store}
 
 /** The NN counterpart of the paper's exactness claim: M-NN, S-NN and F-NN
@@ -11,6 +13,26 @@ import repro.data.{NormalizedSynth, Store}
 class NnEquivalenceSpec extends SparkSpec {
 
   private val Tol = 1e-7
+
+  /** S-NN over the inner join and the F-NN engine update identically in
+    * each of two epochs from `init`. `fks(i)` names S's FK column into
+    * `rs(i)`: `fk` for the binary join, `fk1 … fkq` for a multi-way join.
+    */
+  private def assertPerEpoch(s: DataFrame, rs: Seq[DataFrame], init: NnModel, dS: Int,
+                             fks: Seq[String]): Unit = {
+    import spark.implicits._
+    val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
+    val t = if (fks == Seq("fk")) DenormNn.joined(s, rs.head) else SNn.joinedMulti(s, rs)
+    var mS = init
+    var mF = init
+    (1 to 2).foreach { ep =>
+      val (nextS, lS) = DenormNn.epoch(t, mS, lr = 0.05)
+      val (nextF, lF) = FNnMulti.epoch(s, fks, rRows, mF, lr = 0.05, dS)
+      assert(math.abs(lS - lF) < 1e-10, s"epoch $ep loss: $lS vs $lF")
+      assert(nextS.maxAbsDiff(nextF) < Tol, s"epoch $ep params diverged")
+      mS = nextS; mF = nextF
+    }
+  }
 
   private lazy val (sDf, rDf) =
     NormalizedSynth.binary(spark, nS = 2500, nR = 25, dS = 3, dR = 4, seed = 91,
@@ -78,19 +100,27 @@ class NnEquivalenceSpec extends SparkSpec {
   }
 
   test("multi-way: S-NN and F-NN update identically per epoch (q=2)") {
-    import spark.implicits._
     val (s, rs) = NormalizedSynth.multiway(spark, nS = 2000, dS = 2,
       specs = Seq((18L, 3), (12L, 4)), seed = 101, withTarget = true)
-    val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
-    val t = SNn.joinedMulti(s, rs)
-    var mS = NnModel.init(nh = 5, d = 9, seed = 61)
-    var mF = mS
-    (1 to 2).foreach { ep =>
-      val (nextS, lS) = DenormNn.epoch(t, mS, lr = 0.05)
-      val (nextF, lF) = FNnMulti.epoch(s, rRows, mF, lr = 0.05, dS = 2)
-      assert(math.abs(lS - lF) < 1e-10, s"epoch $ep loss: $lS vs $lF")
-      assert(nextS.maxAbsDiff(nextF) < Tol, s"epoch $ep params diverged")
-      mS = nextS; mF = nextF
+    assertPerEpoch(s, rs, NnModel.init(nh = 5, d = 9, seed = 61), dS = 2, RRel.fkCols(2))
+  }
+
+  test("orphan FKs are dropped like the inner join (binary and q=2)") {
+    import org.apache.spark.sql.functions._
+    val (sM, rsM) = NormalizedSynth.multiway(spark, nS = 2000, dS = 2,
+      specs = Seq((18L, 3), (12L, 4)), seed = 101, withTarget = true)
+    // every 97th row references an R (binary) or R2 (q = 2) tuple that does not exist
+    val cases = Seq(
+      (sDf, Seq(rDf), "fk", Seq("fk"), NnModel.init(nh = 6, d = 7, seed = 41), 3),
+      (sM, rsM, "fk2", RRel.fkCols(2), NnModel.init(nh = 5, d = 9, seed = 61), 2))
+    cases.foreach { case (s0, rs, orphanCol, fks, init, dS) =>
+      val s = s0.withColumn(orphanCol,
+        when(col("sid") % 97 === 0, lit(999L)).otherwise(col(orphanCol)))
+      val orphans = s.where(col(orphanCol) === 999L).count()
+      assert(orphans > 0)
+      val acc = FNnMulti.pass(FNnMulti.sRows(s, fks), RRel.collect(rs), init, dS)
+      assert(acc.orphans == orphans && acc.n == s.count() - orphans)
+      assertPerEpoch(s, rs, init, dS, fks)
     }
   }
 
