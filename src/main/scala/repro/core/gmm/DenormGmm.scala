@@ -1,8 +1,7 @@
 package repro.core.gmm
 
 import org.apache.spark.sql.{DataFrame, Encoders}
-import repro.core.iterate
-import repro.linalg.Vec
+import repro.core.{assemble, iterate}
 
 /** Result of a GMM training run: final model plus the log-likelihood of the
   * model *entering* each iteration (so logliks(0) scores the init).
@@ -30,10 +29,13 @@ object DenormGmm {
   def emStep(t: DataFrame, model: GmmModel): (GmmModel, Double) = {
     val spark = t.sparkSession
     import spark.implicits._
-    val cache = GmmComponentCache(model)
     val k = model.k
     val d = model.d
     val means = model.means
+    // The tasks read only the factors, the log-constants and the means.
+    val cache = GmmComponentCache(model)
+    val chol = cache.chol
+    val logConst = cache.logConst
 
     implicit val accEnc = Encoders.kryo[GmmAccum]
     val acc = t.select("xs", "xr").as[(Array[Double], Array[Double])]
@@ -41,15 +43,20 @@ object DenormGmm {
         val a = new GmmAccum(k, d)
         val gamma = new Array[Double](k)
         val quad = new Array[Double](k)
+        val x = new Array[Double](d) // full-width tuple, as materialized in T
+        val pd = new Array[Double](d)
+        val z = new Array[Double](d)
         it.foreach { case (xs, xr) =>
-          val x = Vec.concat(xs, xr) // full-width tuple, as materialized in T
+          assemble(xs, xr, x)
           var i = 0
           while (i < k) {
-            val pd = Vec.sub(x, means(i))
-            quad(i) = cache.inv(i).quadForm(pd)
+            val mu = means(i)
+            var j = 0
+            while (j < d) { pd(j) = x(j) - mu(j); j += 1 }
+            quad(i) = chol(i).quadInv(pd, z)
             i += 1
           }
-          val ll = GmmMath.responsibilities(cache, quad, gamma)
+          val ll = GmmMath.responsibilities(logConst, quad, gamma)
           a.add(x, gamma, ll)
         }
         Iterator.single(a)

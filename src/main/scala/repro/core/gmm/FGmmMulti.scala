@@ -3,7 +3,7 @@ package repro.core.gmm
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col}
-import repro.core.{RRel, iterate}
+import repro.core.{RRel, iterate, requireS}
 import repro.linalg.{Mat, Vec}
 import scala.collection.parallel.CollectionConverters._
 
@@ -39,6 +39,7 @@ private[gmm] final class PreLayout(val k: Int, val dS: Int, val dims: Array[Int]
   * [g_0 … g_{K−1}, sgx_0 (dS) … sgx_{K−1} (dS)] from `pos·K·(1+dS)`, and
   * merging is an element-wise add. Rows whose FK has no Ri tuple are not
   * folded in; they are counted in `orphans` (inner-join semantics).
+  * `sxxSS` holds only its upper triangle.
   */
 private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array[Int],
                                         val nR: Array[Int]) extends Serializable {
@@ -66,28 +67,30 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
     var i = 0
     while (i < k) {
       val g = gamma(i)
-      nk(i) += g
-      Vec.axpy(g, xs, sxS(i))
-      sxxSS(i).addOuter(g, xs, xs)
-      var rel = 0
-      while (rel < q) {
-        val slot = perFk(rel)
-        val base = pos(rel) * w
-        slot(base + i) += g
-        val off = base + k + i * dS
-        var j = 0
-        while (j < dS) { slot(off + j) += g * xs(j); j += 1 }
-        rel += 1
-      }
-      // off-diagonal R×R blocks, per row (no reuse — paper Eq. 23)
-      var a = 0
-      while (a < q) {
-        var b = a + 1
-        while (b < q) {
-          cross(a)(b - a - 1)(i).addOuter(g, xr(a), xrOff(a), xr(b), xrOff(b))
-          b += 1
+      if (g != 0.0) { // a γ that underflowed to 0 adds nothing to the sums
+        nk(i) += g
+        Vec.axpy(g, xs, sxS(i))
+        sxxSS(i).addOuterUpper(g, xs)
+        var rel = 0
+        while (rel < q) {
+          val slot = perFk(rel)
+          val base = pos(rel) * w
+          slot(base + i) += g
+          val off = base + k + i * dS
+          var j = 0
+          while (j < dS) { slot(off + j) += g * xs(j); j += 1 }
+          rel += 1
         }
-        a += 1
+        // off-diagonal R×R blocks, per row (no reuse — paper Eq. 23)
+        var a = 0
+        while (a < q) {
+          var b = a + 1
+          while (b < q) {
+            cross(a)(b - a - 1)(i).addOuter(g, xr(a), xrOff(a), xr(b), xrOff(b))
+            b += 1
+          }
+          a += 1
+        }
       }
       i += 1
     }
@@ -234,6 +237,7 @@ object FGmmMulti {
             }
             if (!hit) a.orphans += 1
             else {
+              requireS(xs, dS)
               var i = 0
               while (i < k) {
                 val mu = muS(i)
@@ -267,14 +271,14 @@ object FGmmMulti {
   }
 
   /** One relation's R-side sums per component — Σ γ x_r, Σ (Σγ x_S) x_rᵀ and
-    * Σ γ x_r x_rᵀ — one kernel per Ri tuple, read from the flat state, over
-    * chunks in parallel.
+    * Σ γ x_r x_rᵀ (mirrored from its upper triangle) — one kernel per Ri
+    * tuple, read from the flat state, over chunks in parallel.
     */
   private def finishRel(state: Array[Double], rel: RRel, k: Int,
                         dS: Int): (Array[Array[Double]], Array[Mat], Array[Mat]) = {
     val w = k * (1 + dS)
     val di = rel.width
-    rel.chunks.par.map { range =>
+    val (sxR, ur, lr) = rel.chunks.par.map { range =>
       val sxR = Array.fill(k)(new Array[Double](di))
       val ur  = Array.fill(k)(Mat.zeros(dS, di))
       val lr  = Array.fill(k)(Mat.zeros(di, di))
@@ -287,7 +291,7 @@ object FGmmMulti {
           // g = 0 only if every γ at this tuple is 0, so its Σγ x_S is 0 too
           if (g != 0.0) {
             Vec.axpy(g, xr, sxR(i))
-            lr(i).addOuter(g, xr, xr)
+            lr(i).addOuterUpper(g, xr)
             ur(i).addOuter(1.0, state, base + k + i * dS, xr, 0)
           }
           i += 1
@@ -302,10 +306,13 @@ object FGmmMulti {
       }
       x
     }
+    lr.foreach(_.mirrorUpper())
+    (sxR, ur, lr)
   }
 
   /** M-step: finish the R-side blocks and assemble each covariance (Eq. 23). */
   private[gmm] def finish(acc: FGmmMultiAccum, rels: Array[RRel], dS: Int): GmmModel = {
+    GmmMath.requireMass(acc.nk)
     val k = acc.k
     val q = acc.q
     val dims = acc.dims
@@ -324,6 +331,7 @@ object FGmmMulti {
         (Vec.scale(1.0 / acc.nk(i), acc.sxS(i)) +: (0 until q).map(rel =>
           Vec.scale(1.0 / acc.nk(i), sxR(rel)(i)))): _*)
       val sxx = Mat.zeros(d, d) // Eq. (23) block assembly
+      acc.sxxSS(i).mirrorUpper()
       sxx.setBlock(0, 0, acc.sxxSS(i))
       for (rel <- 0 until q) {
         sxx.setBlock(0, offs(rel), ur(rel)(i))

@@ -42,28 +42,25 @@ object GmmModel {
 }
 
 /** Per-component quantities the E-step needs, computed once per iteration
-  * from the current model on the driver and shipped in the task closure:
-  * the precision matrix I_k = Σ_k⁻¹ and the constant part of the log
-  * density, log π_k − ½(d·log 2π + log|Σ_k|) (paper Eq. 1–2: feature
-  * vectors "are not directly involved" in this part).
+  * from the current model on the driver: the Cholesky factor of each Σ_k,
+  * with which a task evaluates (x−μ_k)ᵀ Σ_k⁻¹ (x−μ_k) = ‖L_k⁻¹(x−μ_k)‖²,
+  * and the constant part of the log density, log π_k − ½(d·log 2π +
+  * log|Σ_k|) (paper Eq. 1–2: feature vectors "are not directly involved" in
+  * this part). The precision matrices I_k = Σ_k⁻¹ that F-GMM splits into
+  * blocks are inverted from the same factors on first use.
   */
-final case class GmmComponentCache(inv: Array[Mat], logConst: Array[Double]) extends Serializable
+final case class GmmComponentCache(chol: Array[Chol], logConst: Array[Double]) extends Serializable {
+  lazy val inv: Array[Mat] = chol.map(_.inverse)
+}
 
 object GmmComponentCache {
   val Ridge = 1e-9 // tiny SPD regularization applied identically everywhere
 
   def apply(model: GmmModel): GmmComponentCache = {
-    val inv = new Array[Mat](model.k)
-    val logConst = new Array[Double](model.k)
-    var k = 0
-    while (k < model.k) {
-      val ch = Chol.regularized(model.covs(k), Ridge)
-      inv(k) = ch.inverse
-      logConst(k) = math.log(model.weights(k)) -
-        0.5 * (model.d * math.log(2.0 * math.Pi) + ch.logDet)
-      k += 1
-    }
-    GmmComponentCache(inv, logConst)
+    val chol = model.covs.map(Chol.regularized(_, Ridge))
+    val logConst = Array.tabulate(model.k)(k => math.log(model.weights(k)) -
+      0.5 * (model.d * math.log(2.0 * math.Pi) + chol(k).logDet))
+    GmmComponentCache(chol, logConst)
   }
 }
 
@@ -72,16 +69,26 @@ object GmmComponentCache {
   */
 object GmmMath {
 
-  /** Given quad(k) = (x−μ_k)ᵀ I_k (x−μ_k) and the cached log-constants,
+  /** The M-step divides by N_k = Σ_n γ_k: a component whose responsibility
+    * underflowed to 0 on every row has no defined mean or covariance, so
+    * M, S and F all stop here, on the driver, naming it.
+    */
+  def requireMass(nk: Array[Double]): Unit = {
+    var i = 0
+    while (i < nk.length) {
+      require(nk(i) > 0.0, s"GMM component $i is empty: N_k = ${nk(i)} (every responsibility is 0)")
+      i += 1
+    }
+  }
+
+  /** Given quad(k) = (x−μ_k)ᵀ I_k (x−μ_k) and the cache's log-constants,
     * fill `gamma` with responsibilities and return this point's
     * log-likelihood contribution ln Σ_k π_k N(x | μ_k, Σ_k).
-    */
-  def responsibilities(cache: GmmComponentCache, quad: Array[Double],
-                       gamma: Array[Double]): Double =
-    responsibilities(cache.logConst, quad, gamma)
-
-  /** [[responsibilities]] from the log-constants alone — all a task needs of
-    * the cache, so a closure need not ship the d×d precision matrices.
+    *
+    * A responsibility below the smallest normal double (≈ 2.2e−308) is
+    * flushed to 0: it would add nothing visible to any sum, and each
+    * subnormal product it fed into the M-step sums would cost about as much
+    * as 100 normal ones on x86.
     */
   def responsibilities(logConst: Array[Double], quad: Array[Double],
                        gamma: Array[Double]): Double = {
@@ -93,7 +100,11 @@ object GmmMath {
     i = 0
     while (i < k) { gamma(i) = math.exp(gamma(i) - m); z += gamma(i); i += 1 }
     i = 0
-    while (i < k) { gamma(i) /= z; i += 1 }
+    while (i < k) {
+      gamma(i) /= z
+      if (gamma(i) < java.lang.Double.MIN_NORMAL) gamma(i) = 0.0
+      i += 1
+    }
     m + math.log(z)
   }
 }

@@ -8,7 +8,8 @@ import repro.linalg.{Mat, Vec}
   * μ_k = (Σ γ x)/N_k and Σ_k = (Σ γ x xᵀ)/N_k − μ_k μ_kᵀ, which equals the
   * paper's Eq. (4) evaluated at the new mean (see DESIGN.md §2).
   *
-  * One accumulator per partition, merged associatively.
+  * One accumulator per partition, merged associatively. `sxx` holds only
+  * its upper triangle; [[toModel]] mirrors a scaled copy.
   */
 final class GmmAccum(val k: Int, val d: Int) extends Serializable {
   var n: Long = 0L
@@ -23,9 +24,11 @@ final class GmmAccum(val k: Int, val d: Int) extends Serializable {
     var i = 0
     while (i < k) {
       val g = gamma(i)
-      nk(i) += g
-      Vec.axpy(g, x, sx(i))
-      sxx(i).addOuter(g, x, x)
+      if (g != 0.0) { // a γ that underflowed to 0 adds nothing to the sums
+        nk(i) += g
+        Vec.axpy(g, x, sx(i))
+        sxx(i).addOuterUpper(g, x)
+      }
       i += 1
     }
   }
@@ -45,6 +48,7 @@ final class GmmAccum(val k: Int, val d: Int) extends Serializable {
 
   /** M-step: turn the sums into the next model. */
   def toModel: GmmModel = {
+    GmmMath.requireMass(nk)
     val weights = new Array[Double](k)
     val means   = new Array[Array[Double]](k)
     val covs    = new Array[Mat](k)
@@ -53,6 +57,7 @@ final class GmmAccum(val k: Int, val d: Int) extends Serializable {
       weights(i) = nk(i) / n
       means(i)   = Vec.scale(1.0 / nk(i), sx(i))
       val c = sxx(i).scaled(1.0 / nk(i))
+      c.mirrorUpper()
       c.addOuter(-1.0, means(i), means(i))
       c.symmetrize()
       covs(i) = c

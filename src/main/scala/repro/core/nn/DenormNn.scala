@@ -1,7 +1,7 @@
 package repro.core.nn
 
 import org.apache.spark.sql.{DataFrame, Encoders}
-import repro.core.iterate
+import repro.core.{assemble, iterate}
 import repro.linalg.{Mat, Vec}
 
 /** Result of an NN training run: final model plus the mean-squared-error
@@ -63,21 +63,24 @@ object DenormNn {
     val acc = t.select("xs", "xr", "y").as[(Array[Double], Array[Double], Double)]
       .mapPartitions { it =>
         val a = new NnAccum(nh, d)
+        val x = new Array[Double](d) // full-width tuple as stored in T
+        val pre = new Array[Double](nh)
+        val h = new Array[Double](nh)
+        val delta = new Array[Double](nh)
         it.foreach { case (xs, xr, y) =>
-          val x = Vec.concat(xs, xr) // full-width tuple as stored in T
+          assemble(xs, xr, x)
           // forward: a_j = Σ_i w1_ji x_i + b1_j (paper §VI-A1, undecomposed)
-          val pre = w1.mv(x)
+          w1.mvInto(x, pre, 0)
           Vec.addInPlace(pre, b1)
           var o = b2
           var j = 0
-          while (j < nh) { o += w2(j) * act.f(pre(j)); j += 1 }
+          while (j < nh) { h(j) = act.f(pre(j)); o += w2(j) * h(j); j += 1 }
           val e = o - y
           a.n += 1; a.sqErr += e * e; a.db2 += e
           // backward: δ_j = e · w2_j · f'(a_j); dW1 += δ xᵀ (Eq. 28)
-          val delta = new Array[Double](nh)
           j = 0
           while (j < nh) {
-            a.dW2(j) += e * act.f(pre(j))
+            a.dW2(j) += e * h(j)
             delta(j) = e * w2(j) * act.fPrime(pre(j))
             a.db1(j) += delta(j)
             j += 1

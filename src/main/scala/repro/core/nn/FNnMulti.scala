@@ -3,7 +3,7 @@ package repro.core.nn
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col}
-import repro.core.{RRel, iterate}
+import repro.core.{RRel, iterate, requireS}
 import repro.linalg.{Mat, Vec}
 import scala.collection.parallel.CollectionConverters._
 
@@ -153,6 +153,7 @@ object FNnMulti {
             }
             if (!hit) a.orphans += 1
             else {
+              requireS(xs, dS)
               w1S.mvInto(xs, preAct, 0) // nh·dS instead of nh·d
               Vec.addInPlace(preAct, b1)
               rel = 0

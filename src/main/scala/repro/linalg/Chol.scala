@@ -1,42 +1,66 @@
 package repro.linalg
 
 /** Cholesky factorization of a symmetric positive-definite matrix, used to
-  * invert GMM covariance matrices and compute their log-determinants.
+  * evaluate GMM quadratic forms, invert covariance matrices and compute
+  * their log-determinants.
   *
   * `A = L Lᵀ` with L lower-triangular. Throws `IllegalArgumentException`
   * when A is not (numerically) SPD — callers regularize Σ with a ridge
   * before factorizing.
+  *
+  * The factor is kept as Lᵀ, row-major (`ut(j·n + i) = L(i, j)` for i ≥ j,
+  * zero below the diagonal), with the reciprocal pivots 1/L(j, j) in `rd`:
+  * column j of L is then the contiguous row j of `ut`, so both triangular
+  * solves run contiguous inner loops.
   */
-final class Chol private (val n: Int, private val l: Mat) extends Serializable {
+final class Chol private (val n: Int, private val ut: Array[Double], private val rd: Array[Double])
+    extends Serializable {
 
   /** Lower-triangular factor L (copy). */
-  def lower: Mat = l.copy
+  def lower: Mat = new Mat(n, n, ut).transpose
 
   /** log|A| = 2 Σ log L(i,i). */
   def logDet: Double = {
     var s = 0.0; var i = 0
-    while (i < n) { s += math.log(l(i, i)); i += 1 }
+    while (i < n) { s += math.log(ut(i * n + i)); i += 1 }
     2.0 * s
+  }
+
+  /** `z = L⁻¹ z` in place: column-oriented forward substitution. Returns ‖L⁻¹ z‖². */
+  private def forward(z: Array[Double]): Double = {
+    var s = 0.0; var j = 0
+    while (j < n) {
+      val yj = z(j) * rd(j)
+      z(j) = yj
+      s += yj * yj
+      val off = j * n; var i = j + 1
+      while (i < n) { z(i) -= ut(off + i) * yj; i += 1 }
+      j += 1
+    }
+    s
+  }
+
+  /** The quadratic form `pdᵀ A⁻¹ pd = ‖L⁻¹ pd‖²`, with one forward
+    * substitution (n²/2 multiply-adds) in `scratch` (length ≥ n, overwritten).
+    * `pd` is not modified.
+    */
+  def quadInv(pd: Array[Double], scratch: Array[Double]): Double = {
+    require(pd.length == n && scratch.length >= n, s"quadInv: $n vs ${pd.length} / ${scratch.length}")
+    System.arraycopy(pd, 0, scratch, 0, n)
+    forward(scratch)
   }
 
   /** Solve `A x = b` via forward + backward substitution. */
   def solve(b: Array[Double]): Array[Double] = {
     require(b.length == n)
-    // forward: L y = b
-    val y = new Array[Double](n)
-    var i = 0
-    while (i < n) {
-      var s = b(i); var j = 0
-      while (j < i) { s -= l(i, j) * y(j); j += 1 }
-      y(i) = s / l(i, i); i += 1
-    }
-    // backward: Lᵀ x = y
-    val x = new Array[Double](n)
-    i = n - 1
+    val x = b.clone()
+    forward(x) // x = y = L⁻¹ b
+    // backward: Lᵀ x = y, reading row i of Lᵀ
+    var i = n - 1
     while (i >= 0) {
-      var s = y(i); var j = i + 1
-      while (j < n) { s -= l(j, i) * x(j); j += 1 }
-      x(i) = s / l(i, i); i -= 1
+      var s = x(i); val off = i * n; var j = i + 1
+      while (j < n) { s -= ut(off + j) * x(j); j += 1 }
+      x(i) = s * rd(i); i -= 1
     }
     x
   }
@@ -83,7 +107,7 @@ object Chol {
       }
       i += 1
     }
-    new Chol(n, l)
+    new Chol(n, l.transpose.a, Array.tabulate(n)(j => 1.0 / l(j, j)))
   }
 
   /** Factorize `a + ridge*I` — the standard EM covariance regularization. */

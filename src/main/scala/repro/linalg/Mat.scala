@@ -145,6 +145,31 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
     }
   }
 
+  /** `this += s * x xᵀ` on the upper triangle only (j ≥ i), in place: half
+    * the work of `addOuter(s, x, x)` for a symmetric sum. The strict lower
+    * triangle is left as is; [[mirrorUpper]] fills it once the sum is done.
+    */
+  def addOuterUpper(s: Double, x: Array[Double]): Unit = {
+    require(rows == cols && x.length == rows, s"addOuterUpper: $rows x $cols vs ${x.length}")
+    var i = 0
+    while (i < rows) {
+      val sxi = s * x(i); val off = i * cols; var j = i
+      while (j < cols) { a(off + j) += sxi * x(j); j += 1 }
+      i += 1
+    }
+  }
+
+  /** Copy the upper triangle onto the lower one in place: `this(j, i) = this(i, j)` for j > i. */
+  def mirrorUpper(): Unit = {
+    require(rows == cols)
+    var i = 0
+    while (i < rows) {
+      var j = i + 1
+      while (j < cols) { a(j * cols + i) = a(i * cols + j); j += 1 }
+      i += 1
+    }
+  }
+
   /** `this += other` in place. */
   def addInPlace(other: Mat): Unit = {
     require(rows == other.rows && cols == other.cols)

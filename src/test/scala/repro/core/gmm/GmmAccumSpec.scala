@@ -95,6 +95,12 @@ class GmmAccumSpec extends AnyFunSuite {
     }
   }
 
+  test("toModel covariances are exactly symmetric") {
+    val a = new GmmAccum(k, d)
+    Array.fill(40)(randomPoint()).foreach { case (_, xs, xr, g, ll) => a.add(Vec.concat(xs, xr), g, ll) }
+    a.toModel.covs.foreach(c => assert(c.maxAbsDiff(c.transpose) === 0.0))
+  }
+
   test("toModel yields normalized weights and mean of the weighted points") {
     val a = new GmmAccum(1, 2)
     a.add(Array(1.0, 2.0), Array(1.0), 0.0)

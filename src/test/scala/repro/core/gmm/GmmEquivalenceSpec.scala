@@ -82,6 +82,41 @@ class GmmEquivalenceSpec extends SparkSpec {
     } finally store.close()
   }
 
+  test("ragged or null xs rows fail in M, S and F, naming the widths") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val init = GmmModel.init(k = 3, d = 7, seed = 5)
+      Seq((slice(col("xs"), 1, 2), "joined row has 2 + 4 features, expected 7",
+           "S row has 2 features, expected 3"),
+          (lit(null).cast("array<double>"), "joined row has null + 4 features, expected 7",
+           "S row has null features, expected 3")).foreach { case (xs, denormMsg, fMsg) =>
+        val s = sDf.withColumn("xs", when(col("sid") === 5, xs).otherwise(col("xs")))
+        Seq(denormMsg -> (() => MGmm.train(store, s, rDf, init, iters = 1)),
+            denormMsg -> (() => SGmm.train(s, rDf, init, iters = 1)),
+            fMsg -> (() => FGmm.train(s, rDf, init, iters = 1))).foreach { case (msg, run) =>
+          val e = intercept[Exception](run())
+          assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(c =>
+            c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains(msg)), s"$msg: $e")
+        }
+      }
+    } finally store.close()
+  }
+
+  test("an empty component (N_k = 0) fails on the driver with one message in M, S and F") {
+    val store = Store.temp(spark)
+    try {
+      val init0 = GmmModel.init(k = 3, d = 7, seed = 5)
+      // every responsibility of component 2 underflows to exactly 0
+      val init = init0.copy(means = init0.means.updated(2, Array.fill(7)(1e3)))
+      val msgs = Seq(() => MGmm.train(store, sDf, rDf, init, iters = 1),
+                     () => SGmm.train(sDf, rDf, init, iters = 1),
+                     () => FGmm.train(sDf, rDf, init, iters = 1))
+        .map(run => intercept[IllegalArgumentException](run()).getMessage)
+      assert(msgs.distinct.size == 1 && msgs.head.contains("GMM component 2 is empty"), msgs)
+    } finally store.close()
+  }
+
   test("log-likelihood is non-decreasing across EM iterations (F-GMM)") {
     val init = GmmModel.init(k = 3, d = 7, seed = 8)
     val fit = FGmm.train(sDf, rDf, init, iters = 4)

@@ -68,7 +68,7 @@ class GmmMathSpec extends AnyFunSuite with PropCheck {
       val x = Array.fill(m.d)(rnd.nextGaussian() * 3)
       val quad = (0 until m.k).map(k => cache.inv(k).quadForm(Vec.sub(x, m.means(k)))).toArray
       val gamma = new Array[Double](m.k)
-      val ll = GmmMath.responsibilities(cache, quad, gamma)
+      val ll = GmmMath.responsibilities(cache.logConst, quad, gamma)
       assert(math.abs(gamma.sum - 1.0) < 1e-10)
       assert(gamma.forall(_ >= 0.0))
       assert(!ll.isNaN && !ll.isInfinite)
@@ -80,10 +80,20 @@ class GmmMathSpec extends AnyFunSuite with PropCheck {
     val cache = GmmComponentCache(m)
     val gamma = new Array[Double](2)
     // quads that would underflow exp() directly
-    val ll = GmmMath.responsibilities(cache, Array(2000.0, 2400.0), gamma)
+    val ll = GmmMath.responsibilities(cache.logConst, Array(2000.0, 2400.0), gamma)
     assert(math.abs(gamma.sum - 1.0) < 1e-12)
     assert(gamma(0) > 0.99) // much smaller quad → dominates
     assert(!ll.isInfinite)
+  }
+
+  test("responsibilities below the smallest normal double are flushed to 0") {
+    val gamma = new Array[Double](3)
+    // exp(−715) ≈ 1.6e−311 is subnormal; exp(−700) ≈ 9.9e−305 is not
+    val ll = GmmMath.responsibilities(Array(0.0, 0.0, 0.0), Array(0.0, 1430.0, 1400.0), gamma)
+    assert(gamma(1) === 0.0)
+    assert(gamma(2) > 0.0 && gamma(2) >= java.lang.Double.MIN_NORMAL)
+    assert(gamma(0) + gamma(2) === 1.0)
+    assert(ll === math.log(1.0 + math.exp(-715.0) + math.exp(-700.0)))
   }
 
   test("responsibility matches Bayes rule on a hand-checkable 1-d mixture") {
@@ -93,7 +103,7 @@ class GmmMathSpec extends AnyFunSuite with PropCheck {
     val cache = GmmComponentCache(m)
     val gamma = new Array[Double](2)
     val quad = Array(1.0, 1.0) // (0-(-1))² and (0-1)²
-    GmmMath.responsibilities(cache, quad, gamma)
+    GmmMath.responsibilities(cache.logConst, quad, gamma)
     assert(math.abs(gamma(0) - 0.5) < 1e-12)
   }
 }

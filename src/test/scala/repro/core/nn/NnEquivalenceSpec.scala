@@ -79,6 +79,27 @@ class NnEquivalenceSpec extends SparkSpec {
     } finally store.close()
   }
 
+  test("ragged or null xs rows fail in M, S and F, naming the widths") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val init = NnModel.init(nh = 6, d = 7, seed = 41)
+      Seq((slice(col("xs"), 1, 2), "joined row has 2 + 4 features, expected 7",
+           "S row has 2 features, expected 3"),
+          (lit(null).cast("array<double>"), "joined row has null + 4 features, expected 7",
+           "S row has null features, expected 3")).foreach { case (xs, denormMsg, fMsg) =>
+        val s = sDf.withColumn("xs", when(col("sid") === 5, xs).otherwise(col("xs")))
+        Seq(denormMsg -> (() => MNn.train(store, s, rDf, init, epochs = 1, lr = 0.05)),
+            denormMsg -> (() => SNn.train(s, rDf, init, epochs = 1, lr = 0.05)),
+            fMsg -> (() => FNn.train(s, rDf, init, epochs = 1, lr = 0.05))).foreach { case (msg, run) =>
+          val e = intercept[Exception](run())
+          assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(c =>
+            c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains(msg)), s"$msg: $e")
+        }
+      }
+    } finally store.close()
+  }
+
   test("loss decreases over training (F-NN learns)") {
     val init = NnModel.init(nh = 8, d = 7, seed = 53)
     val fit = FNn.train(sDf, rDf, init, epochs = 6, lr = 0.3)

@@ -45,6 +45,22 @@ class CholSpec extends AnyFunSuite with PropCheck {
     }
   }
 
+  test("quadInv equals pdᵀ A⁻¹ pd, reusing one scratch array across calls") {
+    val scratch = new Array[Double](8)
+    check(spdGen()) { a =>
+      val c = Chol(a)
+      check(vecOf(a.rows), n = 3) { pd =>
+        val before = pd.clone()
+        val q = c.quadInv(pd, scratch)
+        val direct = Vec.dot(pd, c.solve(pd))
+        assert(math.abs(q - direct) <= 1e-9 * math.max(1.0, math.abs(direct)), s"$q vs $direct")
+        assert(pd.sameElements(before)) // pd is read only
+      }
+    }
+    // n = 1: (x / L)² with L = 3
+    assert(math.abs(Chol(Mat.fromRows(Seq(Seq(9.0)))).quadInv(Array(6.0), scratch) - 4.0) < 1e-15)
+  }
+
   test("inverse satisfies A A⁻¹ = I") {
     check(spdGen()) { a =>
       val inv = Chol(a).inverse

@@ -110,6 +110,20 @@ class MatSpec extends AnyFunSuite with PropCheck {
     }
   }
 
+  test("addOuterUpper then mirrorUpper equals addOuter(s, x, x)") {
+    check(Gen.choose(1, 8)) { n =>
+      check(Gen.listOfN(3, Gen.zip(vecOf(n), Gen.choose(-3.0, 3.0))), n = 3) { updates =>
+        val upper = Mat.zeros(n, n)
+        val full = Mat.zeros(n, n)
+        updates.foreach { case (x, s) => upper.addOuterUpper(s, x); full.addOuter(s, x, x) }
+        for (i <- 0 until n; j <- 0 until i) assert(upper(i, j) === 0.0) // lower left alone
+        upper.mirrorUpper()
+        assert(upper.maxAbsDiff(full) < 1e-9)
+        assert(upper.maxAbsDiff(upper.transpose) === 0.0)
+      }
+    }
+  }
+
   test("symmetrize yields a symmetric matrix preserving the symmetric part") {
     check(squareGen()) { m =>
       val s = m.copy
