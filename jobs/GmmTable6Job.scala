@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 /** spark-submit entrypoint regenerating paper Table VI (GMM real datasets).
   *
   * {{{
-  * spark-submit --class repro.jobs.GmmTable6Job repro.jar [scale] [iters]
+  * spark-submit --class repro.jobs.GmmTable6Job --jars repro.jar repro-bench.jar [scale] [iters]
   * }}}
   */
 object GmmTable6Job {

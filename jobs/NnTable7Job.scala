@@ -3,7 +3,7 @@ package repro.jobs
 /** spark-submit entrypoint regenerating paper Table VII (NN real datasets).
   *
   * {{{
-  * spark-submit --class repro.jobs.NnTable7Job repro.jar [scale] [epochs]
+  * spark-submit --class repro.jobs.NnTable7Job --jars repro.jar repro-bench.jar [scale] [epochs]
   * }}}
   */
 object NnTable7Job {

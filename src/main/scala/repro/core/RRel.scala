@@ -64,6 +64,11 @@ private[core] object RRel {
   /** S's FK columns for a multi-way join: Ri is referenced by `fk<i>`. */
   def fkCols(q: Int): Seq[String] = (1 to q).map(i => s"fk$i")
 
+  /** S of a binary join, whose FK column `fk` references R, as the q = 1
+    * case of a multi-way join: `fk` renamed to `fk1`.
+    */
+  def binary(s: DataFrame): DataFrame = s.withColumnRenamed("fk", fkCols(1).head)
+
   /** R1 … Rq in join order. */
   def all(rRows: Seq[Array[(Long, Array[Double])]]): Array[RRel] =
     rRows.zipWithIndex.map { case (rows, i) => new RRel(s"R${i + 1}", rows) }.toArray

@@ -1,7 +1,7 @@
 package repro.core.gmm
 
 import org.apache.spark.sql.{DataFrame, Encoders}
-import repro.core.{assemble, iterate}
+import repro.core.{RRel, assemble, iterate}
 
 /** Result of a GMM training run: final model plus the log-likelihood of the
   * model *entering* each iteration (so logliks(0) scores the init).
@@ -20,8 +20,7 @@ object DenormGmm {
     * R feature blocks kept as two array columns (their concatenation is the
     * feature vector; the split is positional, Table I).
     */
-  def joined(s: DataFrame, r: DataFrame): DataFrame =
-    s.join(r, s("fk") === r("rid")).select(s("sid"), s("xs"), r("xr"))
+  def joined(s: DataFrame, r: DataFrame): DataFrame = SGmm.joinedMulti(RRel.binary(s), Seq(r))
 
   /** One EM iteration over T. Returns the updated model and the
     * log-likelihood of the incoming model.

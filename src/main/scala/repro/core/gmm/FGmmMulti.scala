@@ -3,7 +3,7 @@ package repro.core.gmm
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col}
-import repro.core.{RRel, iterate, requireS}
+import repro.core.{RRel, iterate, probe}
 import repro.linalg.{Mat, Vec}
 import scala.collection.parallel.CollectionConverters._
 
@@ -30,26 +30,23 @@ private[gmm] final class PreLayout(val k: Int, val dS: Int, val dims: Array[Int]
   @inline def blk(i: Int, base: Int, kk: Int): Int = base + dims(i) + kk * tOff(i)(i)
 }
 
-/** Partition-local statistics of the factorized multi-way S-pass: global
-  * S-block sums, per-FK grouped statistics for **each** attribute relation,
-  * and the off-diagonal R×R covariance blocks (accumulated per row — the
-  * paper reuses only the diagonal blocks M_ii, Eq. 23).
+/** Partition-local statistics of the factorized multi-way S-pass: M/S's
+  * sums over the S block alone, per-FK grouped statistics for **each**
+  * attribute relation, and the off-diagonal R×R covariance blocks
+  * (accumulated per row — the paper reuses only the diagonal blocks M_ii,
+  * Eq. 23).
   *
   * `perFk(i)` is flat and indexed by Ri position: the tuple at `pos` owns
   * [g_0 … g_{K−1}, sgx_0 (dS) … sgx_{K−1} (dS)] from `pos·K·(1+dS)`, and
   * merging is an element-wise add. Rows whose FK has no Ri tuple are not
   * folded in; they are counted in `orphans` (inner-join semantics).
-  * `sxxSS` holds only its upper triangle.
   */
 private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array[Int],
                                         val nR: Array[Int]) extends Serializable {
   val q: Int = dims.length
-  var n: Long = 0L
+  /** N, the log-likelihood, N_k, Σ γ x_S and Σ γ x_S x_Sᵀ. */
+  val s: GmmAccum = new GmmAccum(k, dS)
   var orphans: Long = 0L
-  var loglik: Double = 0.0
-  val nk: Array[Double] = new Array[Double](k)
-  val sxS: Array[Array[Double]] = Array.fill(k)(new Array[Double](dS))
-  val sxxSS: Array[Mat] = Array.fill(k)(Mat.zeros(dS, dS))
   val perFk: Array[Array[Double]] = Array.tabulate(q)(i => new Array[Double](nR(i) * k * (1 + dS)))
   // cross(i)(j-i-1)(k): Σ γ x_{Ri} x_{Rj}ᵀ for 0 ≤ i < j < q (R-indexing)
   val cross: Array[Array[Array[Mat]]] =
@@ -62,15 +59,12 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
     */
   def add(pos: Array[Int], xs: Array[Double], xr: Array[Array[Double]], xrOff: Array[Int],
           gamma: Array[Double], ll: Double): Unit = {
-    n += 1; loglik += ll
+    s.add(xs, gamma, ll)
     val w = k * (1 + dS)
     var i = 0
     while (i < k) {
       val g = gamma(i)
       if (g != 0.0) { // a γ that underflowed to 0 adds nothing to the sums
-        nk(i) += g
-        Vec.axpy(g, xs, sxS(i))
-        sxxSS(i).addOuterUpper(g, xs)
         var rel = 0
         while (rel < q) {
           val slot = perFk(rel)
@@ -98,14 +92,7 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
 
   def merge(o: FGmmMultiAccum): FGmmMultiAccum = {
     require(o.k == k && o.dS == dS && o.dims.sameElements(dims) && o.nR.sameElements(nR))
-    n += o.n; orphans += o.orphans; loglik += o.loglik
-    var i = 0
-    while (i < k) {
-      nk(i) += o.nk(i)
-      Vec.addInPlace(sxS(i), o.sxS(i))
-      sxxSS(i).addInPlace(o.sxxSS(i))
-      i += 1
-    }
+    s.merge(o.s); orphans += o.orphans
     var rel = 0
     while (rel < q) { Vec.addInPlace(perFk(rel), o.perFk(rel)); rel += 1 }
     for (a <- 0 until q; bOff <- 0 until q - a - 1; i <- 0 until k)
@@ -130,20 +117,15 @@ object FGmmMulti {
 
   /** One factorized EM iteration; `rRows(i)` is the collected R_{i+1}. */
   def emStep(s: DataFrame, rRows: Seq[Array[(Long, Array[Double])]], model: GmmModel,
-             dS: Int): (GmmModel, Double) =
-    emStep(s, RRel.fkCols(rRows.length), rRows, model, dS)
-
-  /** [[emStep]] over S's FK columns `fks`, where `fks(i)` references `rRows(i)`. */
-  private[gmm] def emStep(s: DataFrame, fks: Seq[String], rRows: Seq[Array[(Long, Array[Double])]],
-                          model: GmmModel, dS: Int): (GmmModel, Double) = {
+             dS: Int): (GmmModel, Double) = {
     val rels = RRel.all(rRows)
-    step(sRows(s, fks), rels, model, dS)
+    step(sRows(s, rels.length), rels, model, dS)
   }
 
   private def step(sRows: RDD[(Array[Long], Array[Double])], rels: Array[RRel], model: GmmModel,
                    dS: Int): (GmmModel, Double) = {
     val acc = pass(sRows, rels, model, dS)
-    (finish(acc, rels, dS), acc.loglik)
+    (finish(acc, rels, dS), acc.s.loglik)
   }
 
   /** The per-Ri-tuple reusable blocks of every relation, laid out by `lay`. */
@@ -191,12 +173,12 @@ object FGmmMulti {
     }
   }
 
-  /** S as (FKs, xs) rows, reading the FK of each relation from the
-    * column named in `fks`: planned once, scanned again by every pass.
+  /** S as (FKs, xs) rows, reading the FKs into R1 … Rq from `fk1 … fkq`:
+    * planned once, scanned again by every pass.
     */
-  private[gmm] def sRows(s: DataFrame, fks: Seq[String]): RDD[(Array[Long], Array[Double])] = {
+  private[gmm] def sRows(s: DataFrame, q: Int): RDD[(Array[Long], Array[Double])] = {
     import s.sparkSession.implicits._
-    s.select(array(fks.map(col): _*) as "fks", col("xs"))
+    s.select(array(RRel.fkCols(q).map(col): _*) as "fks", col("xs"))
       .as[(Array[Long], Array[Double])].rdd
   }
 
@@ -227,17 +209,10 @@ object FGmmMulti {
           val pos = new Array[Int](q)
           val xOff = new Array[Int](q)
           it.foreach { case (fks, xs) =>
-            var hit = true
-            var rel = 0
-            while (hit && rel < q) {
-              pos(rel) = index(rel)(fks(rel))
-              hit = pos(rel) >= 0
-              xOff(rel) = pos(rel) * lay.stride(rel)
-              rel += 1
-            }
-            if (!hit) a.orphans += 1
+            if (!probe(index, fks, pos, xs, dS)) a.orphans += 1
             else {
-              requireS(xs, dS)
+              var rel = 0
+              while (rel < q) { xOff(rel) = pos(rel) * lay.stride(rel); rel += 1 }
               var i = 0
               while (i < k) {
                 val mu = muS(i)
@@ -271,14 +246,14 @@ object FGmmMulti {
   }
 
   /** One relation's R-side sums per component — Σ γ x_r, Σ (Σγ x_S) x_rᵀ and
-    * Σ γ x_r x_rᵀ (mirrored from its upper triangle) — one kernel per Ri
-    * tuple, read from the flat state, over chunks in parallel.
+    * the upper triangle of Σ γ x_r x_rᵀ — one kernel per Ri tuple, read from
+    * the flat state, over chunks in parallel.
     */
   private def finishRel(state: Array[Double], rel: RRel, k: Int,
                         dS: Int): (Array[Array[Double]], Array[Mat], Array[Mat]) = {
     val w = k * (1 + dS)
     val di = rel.width
-    val (sxR, ur, lr) = rel.chunks.par.map { range =>
+    rel.chunks.par.map { range =>
       val sxR = Array.fill(k)(new Array[Double](di))
       val ur  = Array.fill(k)(Mat.zeros(dS, di))
       val lr  = Array.fill(k)(Mat.zeros(di, di))
@@ -306,64 +281,42 @@ object FGmmMulti {
       }
       x
     }
-    lr.foreach(_.mirrorUpper())
-    (sxR, ur, lr)
   }
 
-  /** M-step: finish the R-side blocks and assemble each covariance (Eq. 23). */
+  /** M-step: finish each relation's R-side blocks, lay them out with the S
+    * block as the upper triangle of the full Σ γ x xᵀ (Eq. 23), and apply
+    * M/S's M-step to the full sums.
+    */
   private[gmm] def finish(acc: FGmmMultiAccum, rels: Array[RRel], dS: Int): GmmModel = {
-    GmmMath.requireMass(acc.nk)
     val k = acc.k
-    val q = acc.q
-    val dims = acc.dims
-    val offs = dims.scanLeft(dS)(_ + _)
-    val d = offs(q)
-    val (sxR, ur, lr) = Array.tabulate(q)(rel =>
-      finishRel(acc.perFk(rel), rels(rel), k, dS)).unzip3
-
-    val weights = new Array[Double](k)
-    val means   = new Array[Array[Double]](k)
-    val covs    = new Array[Mat](k)
-    var i = 0
-    while (i < k) {
-      weights(i) = acc.nk(i) / acc.n
-      means(i) = Vec.concat(
-        (Vec.scale(1.0 / acc.nk(i), acc.sxS(i)) +: (0 until q).map(rel =>
-          Vec.scale(1.0 / acc.nk(i), sxR(rel)(i)))): _*)
-      val sxx = Mat.zeros(d, d) // Eq. (23) block assembly
-      acc.sxxSS(i).mirrorUpper()
-      sxx.setBlock(0, 0, acc.sxxSS(i))
-      for (rel <- 0 until q) {
-        sxx.setBlock(0, offs(rel), ur(rel)(i))
-        sxx.setBlock(offs(rel), 0, ur(rel)(i).transpose)
-        sxx.setBlock(offs(rel), offs(rel), lr(rel)(i))
-      }
-      for (a <- 0 until q; b <- a + 1 until q) {
-        val m = acc.cross(a)(b - a - 1)(i)
-        sxx.setBlock(offs(a), offs(b), m)
-        sxx.setBlock(offs(b), offs(a), m.transpose)
-      }
-      val c = sxx.scaled(1.0 / acc.nk(i))
-      c.addOuter(-1.0, means(i), means(i))
-      c.symmetrize()
-      covs(i) = c
-      i += 1
+    val offs = acc.dims.scanLeft(dS)(_ + _)
+    val full = new GmmAccum(k, offs(acc.q))
+    full.n = acc.s.n
+    full.loglik = acc.s.loglik
+    System.arraycopy(acc.s.nk, 0, full.nk, 0, k)
+    for (i <- 0 until k) {
+      System.arraycopy(acc.s.sx(i), 0, full.sx(i), 0, dS)
+      full.sxx(i).setBlock(0, 0, acc.s.sxx(i))
     }
-    GmmModel(weights, means, covs)
+    for (a <- 0 until acc.q) {
+      val (sxR, ur, lr) = finishRel(acc.perFk(a), rels(a), k, dS)
+      for (i <- 0 until k) {
+        System.arraycopy(sxR(i), 0, full.sx(i), offs(a), acc.dims(a))
+        full.sxx(i).setBlock(0, offs(a), ur(i))
+        full.sxx(i).setBlock(offs(a), offs(a), lr(i))
+        for (b <- a + 1 until acc.q) full.sxx(i).setBlock(offs(a), offs(b), acc.cross(a)(b - a - 1)(i))
+      }
+    }
+    full.toModel
   }
 
   /** Collect, check and index each Ri once, then run `iters` factorized EM
     * iterations.
     */
-  def train(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit =
-    train(s, RRel.fkCols(rs.length), rs, init, iters)
-
-  /** [[train]] over S's FK columns `fks`, where `fks(i)` references `rs(i)`. */
-  private[gmm] def train(s: DataFrame, fks: Seq[String], rs: Seq[DataFrame], init: GmmModel,
-                         iters: Int): GmmFit = {
+  def train(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit = {
     val rels = RRel.collect(rs)
     val dS = init.d - rels.map(_.width).sum
-    val rows = sRows(s, fks)
+    val rows = sRows(s, rels.length)
     val (model, lls) = iterate(init, iters)(step(rows, rels, _, dS))
     GmmFit(model, lls)
   }

@@ -1,5 +1,6 @@
 package repro.core.gmm
 
+import repro.core.requireJoined
 import repro.linalg.{Mat, Vec}
 
 /** Fused E+M sufficient statistics for one EM iteration:
@@ -46,8 +47,9 @@ final class GmmAccum(val k: Int, val d: Int) extends Serializable {
     this
   }
 
-  /** M-step: turn the sums into the next model. */
+  /** M-step: turn the sums into the next model. M, S and F all end here. */
   def toModel: GmmModel = {
+    requireJoined(n)
     GmmMath.requireMass(nk)
     val weights = new Array[Double](k)
     val means   = new Array[Array[Double]](k)

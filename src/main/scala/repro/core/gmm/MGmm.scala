@@ -1,6 +1,7 @@
 package repro.core.gmm
 
 import org.apache.spark.sql.DataFrame
+import repro.core.RRel
 import repro.data.Store
 
 /** Algorithm M-GMM (paper Alg. 1): join S and R, **materialize** T in the
@@ -10,10 +11,8 @@ import repro.data.Store
 object MGmm {
 
   def train(store: Store, s: DataFrame, r: DataFrame, init: GmmModel, iters: Int,
-            tableName: String = "T_mgmm"): GmmFit = {
-    val t = store.write(tableName, DenormGmm.joined(s, r))
-    DenormGmm.train(t, init, iters)
-  }
+            tableName: String = "T_mgmm"): GmmFit =
+    trainMulti(store, RRel.binary(s), Seq(r), init, iters, tableName)
 
   /** Multi-way variant: materialize S ⋈ R1 ⋈ … ⋈ Rq. */
   def trainMulti(store: Store, s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int,

@@ -1,7 +1,7 @@
 package repro.core.nn
 
 import org.apache.spark.sql.{DataFrame, Encoders}
-import repro.core.{assemble, iterate}
+import repro.core.{RRel, assemble, iterate, requireJoined}
 import repro.linalg.{Mat, Vec}
 
 /** Result of an NN training run: final model plus the mean-squared-error
@@ -21,6 +21,16 @@ private[nn] final class NnAccum(val nh: Int, val d: Int) extends Serializable {
   val dW2: Array[Double] = new Array[Double](nh)
   var db2: Double = 0.0
 
+  /** Fold in one row: features `x`, output error `e`, hidden activations `h`
+    * and hidden δ (see [[NnAccum.backprop]]).
+    */
+  def add(x: Array[Double], e: Double, h: Array[Double], delta: Array[Double]): Unit = {
+    n += 1; sqErr += e * e; db2 += e
+    Vec.axpy(e, h, dW2)
+    Vec.addInPlace(db1, delta)
+    dW1.addOuter(1.0, delta, x) // ∂E/∂W1 = δ xᵀ (Eq. 28)
+  }
+
   def merge(o: NnAccum): NnAccum = {
     require(o.nh == nh && o.d == d)
     n += o.n; sqErr += o.sqErr; db2 += o.db2
@@ -30,11 +40,33 @@ private[nn] final class NnAccum(val nh: Int, val d: Int) extends Serializable {
     this
   }
 
-  /** Scale the sums into (E, ∂E/∂θ): E = sqErr/(2N), gradients get 1/N. */
+  /** Scale the sums into (E, ∂E/∂θ): E = sqErr/(2N), gradients get 1/N.
+    * M, S and F all end here.
+    */
   def toGrads: (Double, NnGrads) = {
+    requireJoined(n)
     val inv = 1.0 / n
     (sqErr * 0.5 * inv,
      NnGrads(dW1.scaled(inv), Vec.scale(inv, db1), Vec.scale(inv, dW2), db2 * inv))
+  }
+}
+
+private[nn] object NnAccum {
+
+  /** Finish one row's forward pass and its backward pass down to the hidden
+    * layer, given the first-layer pre-activation `pre` (b1 included):
+    * h = f(pre), o = w2·h + b2, δ_j = e·w2_j·f'(pre_j). Fills `h` and
+    * `delta` and returns the output error e = o − y.
+    */
+  def backprop(pre: Array[Double], y: Double, w2: Array[Double], b2: Double, act: Activation,
+               h: Array[Double], delta: Array[Double]): Double = {
+    var o = b2
+    var j = 0
+    while (j < h.length) { h(j) = act.f(pre(j)); o += w2(j) * h(j); j += 1 }
+    val e = o - y
+    j = 0
+    while (j < h.length) { delta(j) = e * w2(j) * act.fPrime(pre(j)); j += 1 }
+    e
   }
 }
 
@@ -46,8 +78,7 @@ private[nn] final class NnAccum(val nh: Int, val d: Int) extends Serializable {
 object DenormNn {
 
   /** T(sid, xs, xr, y): the projected equi-join with the learning target. */
-  def joined(s: DataFrame, r: DataFrame): DataFrame =
-    s.join(r, s("fk") === r("rid")).select(s("sid"), s("xs"), r("xr"), s("y"))
+  def joined(s: DataFrame, r: DataFrame): DataFrame = SNn.joinedMulti(RRel.binary(s), Seq(r))
 
   /** One full-batch epoch over T: returns (updated model, loss E of the
     * incoming model).
@@ -72,20 +103,7 @@ object DenormNn {
           // forward: a_j = Σ_i w1_ji x_i + b1_j (paper §VI-A1, undecomposed)
           w1.mvInto(x, pre, 0)
           Vec.addInPlace(pre, b1)
-          var o = b2
-          var j = 0
-          while (j < nh) { h(j) = act.f(pre(j)); o += w2(j) * h(j); j += 1 }
-          val e = o - y
-          a.n += 1; a.sqErr += e * e; a.db2 += e
-          // backward: δ_j = e · w2_j · f'(a_j); dW1 += δ xᵀ (Eq. 28)
-          j = 0
-          while (j < nh) {
-            a.dW2(j) += e * h(j)
-            delta(j) = e * w2(j) * act.fPrime(pre(j))
-            a.db1(j) += delta(j)
-            j += 1
-          }
-          a.dW1.addOuter(1.0, delta, x)
+          a.add(x, NnAccum.backprop(pre, y, w2, b2, act, h, delta), h, delta)
         }
         Iterator.single(a)
       }

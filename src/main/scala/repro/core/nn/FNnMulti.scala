@@ -3,12 +3,12 @@ package repro.core.nn
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col}
-import repro.core.{RRel, iterate, requireS}
+import repro.core.{RRel, iterate, probe}
 import repro.linalg.{Mat, Vec}
 import scala.collection.parallel.CollectionConverters._
 
-/** Partition-local statistics of the factorized backprop pass: the S-block
-  * gradient sums plus per-FK grouped δ-sums for each Ri.
+/** Partition-local statistics of the factorized backprop pass: M/S's sums
+  * over the S block alone plus per-FK grouped δ-sums for each Ri.
   *
   * `perFk(i)` is flat and indexed by Ri position: the tuple at `pos` owns
   * Σ δ (nh doubles) from `pos·nh`, and merging is an element-wise add. Rows
@@ -18,13 +18,9 @@ import scala.collection.parallel.CollectionConverters._
 private[nn] final class FNnMultiAccum(val nh: Int, val dS: Int, val nR: Array[Int])
     extends Serializable {
   val q: Int = nR.length
-  var n: Long = 0L
+  /** n, Σ e², the output and hidden gradient sums, and PG_S = Σ δ x_Sᵀ. */
+  val s: NnAccum = new NnAccum(nh, dS)
   var orphans: Long = 0L
-  var sqErr: Double = 0.0
-  val dW1S: Mat = Mat.zeros(nh, dS)
-  val db1: Array[Double] = new Array[Double](nh)
-  val dW2: Array[Double] = new Array[Double](nh)
-  var db2: Double = 0.0
   val perFk: Array[Array[Double]] = Array.tabulate(q)(i => new Array[Double](nR(i) * nh))
 
   /** Fold in one joined row: S features `xs`, the position `pos(i)` of its
@@ -32,10 +28,7 @@ private[nn] final class FNnMultiAccum(val nh: Int, val dS: Int, val nR: Array[In
     */
   def add(pos: Array[Int], xs: Array[Double], e: Double, h: Array[Double],
           delta: Array[Double]): Unit = {
-    n += 1; sqErr += e * e; db2 += e
-    Vec.axpy(e, h, dW2)
-    Vec.addInPlace(db1, delta)
-    dW1S.addOuter(1.0, delta, xs) // PG_S
+    s.add(xs, e, h, delta)
     var rel = 0
     while (rel < q) { // grouped δ for PG_Ri
       val slot = perFk(rel)
@@ -48,10 +41,7 @@ private[nn] final class FNnMultiAccum(val nh: Int, val dS: Int, val nR: Array[In
 
   def merge(o: FNnMultiAccum): FNnMultiAccum = {
     require(o.nh == nh && o.dS == dS && o.nR.sameElements(nR))
-    n += o.n; orphans += o.orphans; sqErr += o.sqErr; db2 += o.db2
-    dW1S.addInPlace(o.dW1S)
-    Vec.addInPlace(db1, o.db1)
-    Vec.addInPlace(dW2, o.dW2)
+    s.merge(o.s); orphans += o.orphans
     var rel = 0
     while (rel < q) { Vec.addInPlace(perFk(rel), o.perFk(rel)); rel += 1 }
     this
@@ -73,37 +63,29 @@ private[nn] final class FNnMultiAccum(val nh: Int, val dS: Int, val nR: Array[In
   *
   * Per the paper's recommendation (§VI-A2), no factorization is attempted
   * beyond the first layer: sigmoid/tanh are not additive and even for
-  * additive activations the op count increases (see [[Additivity]]).
+  * additive activations the op count increases (tested in `AdditivitySpec`).
   */
 object FNnMulti {
 
   /** One factorized epoch; `rRows(i)` is the collected R_{i+1}. */
   def epoch(s: DataFrame, rRows: Seq[Array[(Long, Array[Double])]], model: NnModel,
-            lr: Double, dS: Int): (NnModel, Double) =
-    epoch(s, RRel.fkCols(rRows.length), rRows, model, lr, dS)
-
-  /** [[epoch]] over S's FK columns `fks`, where `fks(i)` references `rRows(i)`. */
-  private[nn] def epoch(s: DataFrame, fks: Seq[String], rRows: Seq[Array[(Long, Array[Double])]],
-                        model: NnModel, lr: Double, dS: Int): (NnModel, Double) = {
+            lr: Double, dS: Int): (NnModel, Double) = {
     val rels = RRel.all(rRows)
-    step(sRows(s, fks), rels, model, lr, dS)
+    step(sRows(s, rels.length), rels, model, lr, dS)
   }
 
   private def step(sRows: RDD[(Array[Long], Array[Double], Double)], rels: Array[RRel],
                    model: NnModel, lr: Double, dS: Int): (NnModel, Double) = {
-    val acc = pass(sRows, rels, model, dS)
-    val inv = 1.0 / acc.n
-    val grads = NnGrads(finish(acc, rels, model.d).scaled(inv), Vec.scale(inv, acc.db1),
-                        Vec.scale(inv, acc.dW2), acc.db2 * inv)
-    (model.step(grads, lr), acc.sqErr * 0.5 * inv)
+    val (loss, grads) = finish(pass(sRows, rels, model, dS), rels, model.d).toGrads
+    (model.step(grads, lr), loss)
   }
 
-  /** S as (FKs, xs, y) rows, reading the FK of each relation from the
-    * column named in `fks`: planned once, scanned again by every pass.
+  /** S as (FKs, xs, y) rows, reading the FKs into R1 … Rq from
+    * `fk1 … fkq`: planned once, scanned again by every pass.
     */
-  private[nn] def sRows(s: DataFrame, fks: Seq[String]): RDD[(Array[Long], Array[Double], Double)] = {
+  private[nn] def sRows(s: DataFrame, q: Int): RDD[(Array[Long], Array[Double], Double)] = {
     import s.sparkSession.implicits._
-    s.select(array(fks.map(col): _*) as "fks", col("xs"), col("y"))
+    s.select(array(RRel.fkCols(q).map(col): _*) as "fks", col("xs"), col("y"))
       .as[(Array[Long], Array[Double], Double)].rdd
   }
 
@@ -144,19 +126,11 @@ object FNnMulti {
           val delta = new Array[Double](nh)
           val pos = new Array[Int](q)
           it.foreach { case (fks, xs, y) =>
-            var hit = true
-            var rel = 0
-            while (hit && rel < q) {
-              pos(rel) = index(rel)(fks(rel))
-              hit = pos(rel) >= 0
-              rel += 1
-            }
-            if (!hit) a.orphans += 1
+            if (!probe(index, fks, pos, xs, dS)) a.orphans += 1
             else {
-              requireS(xs, dS)
               w1S.mvInto(xs, preAct, 0) // nh·dS instead of nh·d
               Vec.addInPlace(preAct, b1)
-              rel = 0
+              var rel = 0
               while (rel < q) {
                 val p = pre(rel)
                 val base = pos(rel) * nh
@@ -164,13 +138,7 @@ object FNnMulti {
                 while (j < nh) { preAct(j) += p(base + j); j += 1 }
                 rel += 1
               }
-              var o = b2
-              var j = 0
-              while (j < nh) { h(j) = act.f(preAct(j)); o += w2(j) * h(j); j += 1 }
-              val e = o - y
-              j = 0
-              while (j < nh) { delta(j) = e * w2(j) * act.fPrime(preAct(j)); j += 1 }
-              a.add(pos, xs, e, h, delta)
+              a.add(pos, xs, NnAccum.backprop(preAct, y, w2, b2, act, h, delta), h, delta)
             }
           }
           Iterator.single(a)
@@ -179,35 +147,33 @@ object FNnMulti {
     } finally bc.destroy()
   }
 
-  /** Assemble the raw ∂E/∂W1 sums: PG_S from the pass, and each PG_Ri
-    * finished with one outer product per Ri tuple from its δ-sum.
+  /** M/S's sums over the full width d: the pass's S-block sums, with
+    * ∂E/∂W1 assembled as [PG_S | PG_R1 …] (Eq. 32), each PG_Ri finished with
+    * one outer product per Ri tuple from its δ-sum.
     */
-  private def finish(acc: FNnMultiAccum, rels: Array[RRel], d: Int): Mat = {
+  private def finish(acc: FNnMultiAccum, rels: Array[RRel], d: Int): NnAccum = {
     val nh = acc.nh
-    val dW1 = Mat.zeros(nh, d)
-    dW1.setBlock(0, 0, acc.dW1S)
+    val full = new NnAccum(nh, d)
+    full.n = acc.s.n; full.sqErr = acc.s.sqErr; full.db2 = acc.s.db2
+    System.arraycopy(acc.s.db1, 0, full.db1, 0, nh)
+    System.arraycopy(acc.s.dW2, 0, full.dW2, 0, nh)
+    full.dW1.setBlock(0, 0, acc.s.dW1)
     var off = acc.dS
     rels.indices.foreach { rel =>
       val rows = rels(rel).rows
       val g = Mat.zeros(nh, rels(rel).width)
       rows.indices.foreach(pos => g.addOuter(1.0, acc.perFk(rel), pos * nh, rows(pos)._2, 0))
-      dW1.setBlock(0, off, g)
+      full.dW1.setBlock(0, off, g)
       off += rels(rel).width
     }
-    dW1
+    full
   }
 
-  def train(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit =
-    train(s, RRel.fkCols(rs.length), rs, init, epochs, lr)
-
-  /** [[train]] over S's FK columns `fks`, where `fks(i)` references `rs(i)`:
-    * collect, check and index each Ri once, then run `epochs` factorized epochs.
-    */
-  private[nn] def train(s: DataFrame, fks: Seq[String], rs: Seq[DataFrame], init: NnModel,
-                        epochs: Int, lr: Double): NnFit = {
+  /** Collect, check and index each Ri once, then run `epochs` factorized epochs. */
+  def train(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit = {
     val rels = RRel.collect(rs)
     val dS = init.d - rels.map(_.width).sum
-    val rows = sRows(s, fks)
+    val rows = sRows(s, rels.length)
     val (model, losses) = iterate(init, epochs)(step(rows, rels, _, lr, dS))
     NnFit(model, losses)
   }

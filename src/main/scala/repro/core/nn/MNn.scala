@@ -1,6 +1,7 @@
 package repro.core.nn
 
 import org.apache.spark.sql.DataFrame
+import repro.core.RRel
 import repro.data.Store
 
 /** Algorithm M-NN: join S and R, **materialize** T on disk, train reading T
@@ -9,10 +10,8 @@ import repro.data.Store
 object MNn {
 
   def train(store: Store, s: DataFrame, r: DataFrame, init: NnModel, epochs: Int,
-            lr: Double, tableName: String = "T_mnn"): NnFit = {
-    val t = store.write(tableName, DenormNn.joined(s, r))
-    DenormNn.train(t, init, epochs, lr)
-  }
+            lr: Double, tableName: String = "T_mnn"): NnFit =
+    trainMulti(store, RRel.binary(s), Seq(r), init, epochs, lr, tableName)
 
   def trainMulti(store: Store, s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int,
                  lr: Double, tableName: String = "T_mnn_multi"): NnFit = {

@@ -1,7 +1,7 @@
 package repro.core.nn
 
 import org.apache.spark.sql.DataFrame
-import repro.core.gmm.SGmm
+import repro.core.{RRel, joined}
 
 /** Algorithm S-NN: the join is recomputed on the fly every epoch (lazy
   * DataFrame, no materialization); compute is identical to M-NN.
@@ -9,10 +9,10 @@ import repro.core.gmm.SGmm
 object SNn {
 
   def train(s: DataFrame, r: DataFrame, init: NnModel, epochs: Int, lr: Double): NnFit =
-    DenormNn.train(DenormNn.joined(s, r), init, epochs, lr)
+    trainMulti(RRel.binary(s), Seq(r), init, epochs, lr)
 
-  /** Multi-way T(sid, xs, xr = concat(xr1…xrq), y). */
-  def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = SGmm.joinedMulti(s, rs, Seq("y"))
+  /** Multi-way T(sid, xs, xr = [xr1 … xrq], y). */
+  def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = joined(s, rs, Seq("y"))
 
   def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit =
     DenormNn.train(joinedMulti(s, rs), init, epochs, lr)

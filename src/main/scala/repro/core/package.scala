@@ -1,5 +1,8 @@
 package repro
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, concat}
+
 package object core {
 
   /** The training loop every trainer shares: run `n` steps from `init`, each
@@ -16,6 +19,29 @@ package object core {
     (model, objective)
   }
 
+  /** The projected equi-join T(sid, xs, xr, keep…) of S ⋈ R1 ⋈ … ⋈ Rq
+    * (paper §IV): S's FK column `fk<i>` references Ri's `rid`, and `xr` is
+    * the R-side features in join order, one block per relation (offsets are
+    * positional). For q = 1, `xr` is R1's own column, with no copy.
+    */
+  private[core] def joined(s: DataFrame, rs: Seq[DataFrame], keep: Seq[String]): DataFrame = {
+    val fks = RRel.fkCols(rs.length)
+    val xrCols = rs.indices.map(i => col(s"xr${i + 1}"))
+    val t = rs.zipWithIndex.foldLeft(s) { case (t, (r, i)) =>
+      val ri = r.withColumnRenamed("rid", s"rid${i + 1}").withColumnRenamed("xr", s"xr${i + 1}")
+      t.join(ri, t(fks(i)) === ri(s"rid${i + 1}"))
+    }
+    val xr = if (rs.length == 1) xrCols.head else concat(xrCols: _*)
+    t.select(Seq(col("sid"), col("xs"), xr as "xr") ++ keep.map(col): _*)
+  }
+
+  /** Every M-step and gradient divides its sums by n, the number of joined
+    * rows: an empty join (every FK an orphan, or an S scan that yields no
+    * rows) stops M, S and F here, on the driver.
+    */
+  private[core] def requireJoined(n: Long): Unit =
+    require(n > 0, "the join is empty: no S row has a matching tuple in every R")
+
   /** Copy one joined row's S and R features into `x`, rejecting a row that
     * would fill it wrongly: null features, or widths that do not add up to
     * the model's d = `x.length`.
@@ -27,9 +53,22 @@ package object core {
     System.arraycopy(xr, 0, x, xs.length, xr.length)
   }
 
-  /** Reject an S row of a factorized pass whose features are null or not `dS` wide. */
-  private[core] def requireS(xs: Array[Double], dS: Int): Unit =
+  /** Look up an S row of a factorized pass in every relation: fill `pos`
+    * with its tuple's position in each Ri and return true, or return false
+    * for an orphan row, one whose FK has no Ri tuple (the inner join drops
+    * it). A joined row whose features are null or not `dS` wide is rejected.
+    */
+  private[core] def probe(index: Array[RidIndex], fks: Array[Long], pos: Array[Int],
+                          xs: Array[Double], dS: Int): Boolean = {
+    var rel = 0
+    while (rel < pos.length) {
+      pos(rel) = index(rel)(fks(rel))
+      if (pos(rel) < 0) return false
+      rel += 1
+    }
     require(xs != null && xs.length == dS, s"S row has ${width(xs)} features, expected $dS")
+    true
+  }
 
   private def width(x: Array[Double]): String = if (x == null) "null" else x.length.toString
 }

@@ -58,16 +58,19 @@ object NormalizedSynth {
     * `withTarget`, `y` is a noisy nonlinear function of xs(0) (NN target).
     */
   def s(spark: SparkSession, nS: Long, nR: Long, dS: Int, seed: Long, k: Int = 5,
-        withTarget: Boolean = false, sparse: Boolean = false, blockWidth: Int = 9,
-        fkCol: String = "fk"): DataFrame = {
+        withTarget: Boolean = false, sparse: Boolean = false, blockWidth: Int = 9): DataFrame =
+    entity(spark, nS, Seq((rand(seed + 2) * nR + 1).cast(LongType) as "fk"), dS, seed, k, withTarget,
+      sparse, blockWidth)
+
+  /** S(sid, fks…, xs[, y]) with `nS` tuples, the FK columns `fks` and `dS`
+    * features; `y` as in [[s]].
+    */
+  private def entity(spark: SparkSession, nS: Long, fks: Seq[Column], dS: Int, seed: Long, k: Int,
+                     withTarget: Boolean, sparse: Boolean = false, blockWidth: Int = 9): DataFrame = {
     val comp  = (rand(seed + 1) * k).cast(IntegerType)
     val feats = if (sparse) oneHotFeatures(dS, blockWidth, seed + 1)
                 else mixtureFeatures(dS, comp, seed + 1)
-    val base = spark.range(1, nS + 1).select(
-      col("id") as "sid",
-      (rand(seed + 2) * nR + 1).cast(LongType) as fkCol,
-      feats as "xs",
-    )
+    val base = spark.range(1, nS + 1).select(Seq(col("id") as "sid") ++ fks :+ (feats as "xs"): _*)
     if (withTarget)
       base.withColumn("y", sin(element_at(col("xs"), 1)) + randn(seed + 3) * 0.1)
     else base
@@ -84,19 +87,13 @@ object NormalizedSynth {
     */
   def multiway(spark: SparkSession, nS: Long, dS: Int, specs: Seq[(Long, Int)], seed: Long,
                k: Int = 5, withTarget: Boolean = false): (DataFrame, Seq[DataFrame]) = {
-    val comp  = (rand(seed + 1) * k).cast(IntegerType)
-    val feats = mixtureFeatures(dS, comp, seed + 1)
     val fks = specs.zipWithIndex.map { case ((nRi, _), i) =>
       (rand(seed + 10 + i) * nRi + 1).cast(LongType) as s"fk${i + 1}"
     }
-    var sDf = spark.range(1, nS + 1).select(
-      Seq(col("id") as "sid") ++ fks ++ Seq(feats as "xs"): _*)
-    if (withTarget)
-      sDf = sDf.withColumn("y", sin(element_at(col("xs"), 1)) + randn(seed + 3) * 0.1)
     val rs = specs.zipWithIndex.map { case ((nRi, dRi), i) =>
       r(spark, nRi, dRi, seed + 200 + 31L * i, k)
     }
-    (sDf, rs)
+    (entity(spark, nS, fks, dS, seed, k, withTarget), rs)
   }
 
   // ---------------------------------------------------------------------

@@ -38,19 +38,6 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
     }
   }
 
-  /** Transposed matrix–vector product `thisᵀ * x`. */
-  def tmv(x: Array[Double]): Array[Double] = {
-    require(x.length == rows, s"tmv: $rows vs ${x.length}")
-    val out = new Array[Double](cols)
-    var i = 0
-    while (i < rows) {
-      val xi = x(i); val off = i * cols; var j = 0
-      while (j < cols) { out(j) += a(off + j) * xi; j += 1 }
-      i += 1
-    }
-    out
-  }
-
   /** Matrix–matrix product `this * other`. */
   def mm(other: Mat): Mat = {
     require(cols == other.rows, s"mm: $cols vs ${other.rows}")
@@ -72,21 +59,11 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
   }
 
   /** Quadratic form `xᵀ * this * x` (square matrices). */
-  def quadForm(x: Array[Double]): Double = {
-    require(rows == cols && x.length == rows, s"quadForm: $rows x $cols vs ${x.length}")
-    var s = 0.0; var i = 0
-    while (i < rows) {
-      val xi = x(i); val off = i * cols; var j = 0
-      var ri = 0.0
-      while (j < cols) { ri += a(off + j) * x(j); j += 1 }
-      s += xi * ri; i += 1
-    }
-    s
-  }
+  def quadForm(x: Array[Double]): Double = bilinear(x, x)
 
   /** Bilinear form `xᵀ * this * y` where x has `rows` entries and y `cols`. */
   def bilinear(x: Array[Double], y: Array[Double]): Double = {
-    require(x.length == rows && y.length == cols)
+    require(x.length == rows && y.length == cols, s"bilinear: $rows x $cols vs ${x.length}, ${y.length}")
     var s = 0.0; var i = 0
     while (i < rows) {
       val xi = x(i); val off = i * cols; var j = 0
@@ -210,12 +187,7 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
 object Mat {
   def zeros(rows: Int, cols: Int): Mat = new Mat(rows, cols, new Array[Double](rows * cols))
 
-  def eye(n: Int): Mat = {
-    val m = zeros(n, n)
-    var i = 0
-    while (i < n) { m(i, i) = 1.0; i += 1 }
-    m
-  }
+  def eye(n: Int): Mat = diag(Array.fill(n)(1.0))
 
   def diag(d: Array[Double]): Mat = {
     val m = zeros(d.length, d.length)

@@ -62,12 +62,12 @@ class GmmAccumSpec extends AnyFunSuite {
       }
       val whole = accumulate(pts.indices)
       val merged = accumulate(30 until 50).merge(accumulate(0 until 12)).merge(accumulate(12 until 30))
-      assert(whole.n == merged.n && whole.orphans == merged.orphans)
-      assert(math.abs(whole.loglik - merged.loglik) < 1e-9)
+      assert(whole.s.n == merged.s.n && whole.orphans == merged.orphans)
+      assert(math.abs(whole.s.loglik - merged.s.loglik) < 1e-9)
       (0 until k).foreach { i =>
-        assert(math.abs(whole.nk(i) - merged.nk(i)) < 1e-9)
-        assert(Vec.maxAbsDiff(whole.sxS(i), merged.sxS(i)) < 1e-9)
-        assert(whole.sxxSS(i).maxAbsDiff(merged.sxxSS(i)) < 1e-9)
+        assert(math.abs(whole.s.nk(i) - merged.s.nk(i)) < 1e-9)
+        assert(Vec.maxAbsDiff(whole.s.sx(i), merged.s.sx(i)) < 1e-9)
+        assert(whole.s.sxx(i).maxAbsDiff(merged.s.sxx(i)) < 1e-9)
         for (a <- 0 until q; b <- a + 1 until q)
           assert(whole.cross(a)(b - a - 1)(i).maxAbsDiff(merged.cross(a)(b - a - 1)(i)) < 1e-9)
       }

@@ -16,19 +16,19 @@ class GmmEquivalenceSpec extends SparkSpec {
   private val Tol = 1e-7
 
   /** S-GMM over the inner join and the F-GMM engine agree after each of two
-    * EM iterations from `init`. `fks(i)` names S's FK column into `rs(i)`:
-    * `fk` for the binary join, `fk1 … fkq` for a multi-way join.
+    * EM iterations from `init`. S's column `fk<i>` references `rs(i - 1)`;
+    * a binary S goes through [[RRel.binary]] first.
     */
   private def assertMultiPerIteration(s: DataFrame, rs: Seq[DataFrame], init: GmmModel,
-                                      dS: Int, fks: Seq[String]): Unit = {
+                                      dS: Int): Unit = {
     import spark.implicits._
     val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
     var mS = init
     var mF = init
-    val t = if (fks == Seq("fk")) DenormGmm.joined(s, rs.head) else SGmm.joinedMulti(s, rs)
+    val t = SGmm.joinedMulti(s, rs)
     (1 to 2).foreach { it =>
       val (nextS, llS) = DenormGmm.emStep(t, mS)
-      val (nextF, llF) = FGmmMulti.emStep(s, fks, rRows, mF, dS)
+      val (nextF, llF) = FGmmMulti.emStep(s, rRows, mF, dS)
       assert(math.abs(llS - llF) / math.abs(llS) < Tol, s"iter $it loglik: $llS vs $llF")
       assert(nextS.maxAbsDiff(nextF) < Tol, s"iter $it params diverged")
       mS = nextS; mF = nextF
@@ -61,9 +61,9 @@ class GmmEquivalenceSpec extends SparkSpec {
     val orphans = s.where(col("fk") === 999L).count()
     assert(orphans > 0)
     val init = GmmModel.init(k = 3, d = 7, seed = 5)
-    val acc = FGmmMulti.pass(FGmmMulti.sRows(s, Seq("fk")), RRel.collect(Seq(rDf)), init, dS = 3)
-    assert(acc.orphans == orphans && acc.n == 3000 - orphans)
-    assertMultiPerIteration(s, Seq(rDf), init, dS = 3, Seq("fk"))
+    val acc = FGmmMulti.pass(FGmmMulti.sRows(RRel.binary(s), 1), RRel.collect(Seq(rDf)), init, dS = 3)
+    assert(acc.orphans == orphans && acc.s.n == 3000 - orphans)
+    assertMultiPerIteration(RRel.binary(s), Seq(rDf), init, dS = 3)
   }
 
   test("M-GMM (materialized) equals S-GMM and F-GMM end to end") {
@@ -117,6 +117,27 @@ class GmmEquivalenceSpec extends SparkSpec {
     } finally store.close()
   }
 
+  test("an empty join (every FK an orphan) fails on the driver in M, S and F, binary and q=2") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val s = sDf.withColumn("fk", lit(999L))
+      val init = GmmModel.init(k = 3, d = 7, seed = 5)
+      val (sM0, rsM) = NormalizedSynth.multiway(spark, nS = 500, dS = 2,
+        specs = Seq((10L, 3), (8L, 4)), seed = 35, k = 2)
+      val sM = sM0.withColumn("fk1", lit(999L))
+      val initM = GmmModel.init(k = 2, d = 9, seed = 14)
+      val msgs = Seq(() => MGmm.train(store, s, rDf, init, iters = 1),
+                     () => SGmm.train(s, rDf, init, iters = 1),
+                     () => FGmm.train(s, rDf, init, iters = 1),
+                     () => MGmm.trainMulti(store, sM, rsM, initM, iters = 1),
+                     () => SGmm.trainMulti(sM, rsM, initM, iters = 1),
+                     () => FGmmMulti.train(sM, rsM, initM, iters = 1))
+        .map(run => intercept[IllegalArgumentException](run()).getMessage)
+      assert(msgs.distinct.size == 1 && msgs.head.contains("the join is empty"), msgs)
+    } finally store.close()
+  }
+
   test("log-likelihood is non-decreasing across EM iterations (F-GMM)") {
     val init = GmmModel.init(k = 3, d = 7, seed = 8)
     val fit = FGmm.train(sDf, rDf, init, iters = 4)
@@ -138,15 +159,13 @@ class GmmEquivalenceSpec extends SparkSpec {
   test("multi-way: S-GMM and F-GMM produce identical models per iteration (q=2)") {
     val (s, rs) = NormalizedSynth.multiway(spark, nS = 2500, dS = 2,
       specs = Seq((20L, 3), (15L, 4)), seed = 31, k = 3)
-    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 3 + 4, seed = 10), dS = 2,
-      RRel.fkCols(2))
+    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 3 + 4, seed = 10), dS = 2)
   }
 
   test("multi-way: S-GMM and F-GMM produce identical models per iteration (q=3, unequal widths)") {
     val (s, rs) = NormalizedSynth.multiway(spark, nS = 2000, dS = 2,
       specs = Seq((12L, 2), (9L, 5), (7L, 3)), seed = 37, k = 3)
-    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 2 + 5 + 3, seed = 13), dS = 2,
-      RRel.fkCols(3))
+    assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 2 + 2 + 5 + 3, seed = 13), dS = 2)
   }
 
   test("multi-way: orphan FKs are dropped like the inner join (q=2)") {
@@ -160,9 +179,9 @@ class GmmEquivalenceSpec extends SparkSpec {
     val init = GmmModel.init(k = 3, d = 9, seed = 10)
     import spark.implicits._
     val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
-    val acc = FGmmMulti.pass(FGmmMulti.sRows(s, RRel.fkCols(2)), RRel.all(rRows), init, dS = 2)
-    assert(acc.orphans == orphans && acc.n == 2500 - orphans)
-    assertMultiPerIteration(s, rs, init, dS = 2, RRel.fkCols(2))
+    val acc = FGmmMulti.pass(FGmmMulti.sRows(s, 2), RRel.all(rRows), init, dS = 2)
+    assert(acc.orphans == orphans && acc.s.n == 2500 - orphans)
+    assertMultiPerIteration(s, rs, init, dS = 2)
   }
 
   test("multi-way: bad R input fails on the driver before any Spark job") {

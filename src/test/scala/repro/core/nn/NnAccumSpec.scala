@@ -22,11 +22,11 @@ class NnAccumSpec extends AnyFunSuite {
       }
       val whole = accumulate(pts.indices)
       val merged = accumulate(30 until 50).merge(accumulate(0 until 12)).merge(accumulate(12 until 30))
-      assert(whole.n == merged.n && whole.orphans == merged.orphans && whole.orphans == 8)
-      assert(math.abs(whole.sqErr - merged.sqErr) < 1e-9 && math.abs(whole.db2 - merged.db2) < 1e-9)
-      assert(whole.dW1S.maxAbsDiff(merged.dW1S) < 1e-9)
-      assert(Vec.maxAbsDiff(whole.db1, merged.db1) < 1e-9)
-      assert(Vec.maxAbsDiff(whole.dW2, merged.dW2) < 1e-9)
+      assert(whole.s.n == merged.s.n && whole.orphans == merged.orphans && whole.orphans == 8)
+      assert(math.abs(whole.s.sqErr - merged.s.sqErr) < 1e-9 && math.abs(whole.s.db2 - merged.s.db2) < 1e-9)
+      assert(whole.s.dW1.maxAbsDiff(merged.s.dW1) < 1e-9)
+      assert(Vec.maxAbsDiff(whole.s.db1, merged.s.db1) < 1e-9)
+      assert(Vec.maxAbsDiff(whole.s.dW2, merged.s.dW2) < 1e-9)
       nR.indices.foreach(rel => assert(Vec.maxAbsDiff(whole.perFk(rel), merged.perFk(rel)) < 1e-9))
     }
   }

@@ -15,19 +15,18 @@ class NnEquivalenceSpec extends SparkSpec {
   private val Tol = 1e-7
 
   /** S-NN over the inner join and the F-NN engine update identically in
-    * each of two epochs from `init`. `fks(i)` names S's FK column into
-    * `rs(i)`: `fk` for the binary join, `fk1 … fkq` for a multi-way join.
+    * each of two epochs from `init`. S's column `fk<i>` references
+    * `rs(i - 1)`; a binary S goes through [[RRel.binary]] first.
     */
-  private def assertPerEpoch(s: DataFrame, rs: Seq[DataFrame], init: NnModel, dS: Int,
-                             fks: Seq[String]): Unit = {
+  private def assertPerEpoch(s: DataFrame, rs: Seq[DataFrame], init: NnModel, dS: Int): Unit = {
     import spark.implicits._
     val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
-    val t = if (fks == Seq("fk")) DenormNn.joined(s, rs.head) else SNn.joinedMulti(s, rs)
+    val t = SNn.joinedMulti(s, rs)
     var mS = init
     var mF = init
     (1 to 2).foreach { ep =>
       val (nextS, lS) = DenormNn.epoch(t, mS, lr = 0.05)
-      val (nextF, lF) = FNnMulti.epoch(s, fks, rRows, mF, lr = 0.05, dS)
+      val (nextF, lF) = FNnMulti.epoch(s, rRows, mF, lr = 0.05, dS)
       assert(math.abs(lS - lF) < 1e-10, s"epoch $ep loss: $lS vs $lF")
       assert(nextS.maxAbsDiff(nextF) < Tol, s"epoch $ep params diverged")
       mS = nextS; mF = nextF
@@ -53,15 +52,17 @@ class NnEquivalenceSpec extends SparkSpec {
     }
   }
 
-  test("relu networks also train identically (factorization is activation-agnostic at layer 1)") {
+  test("every activation trains identically (factorization is activation-agnostic at layer 1)") {
     import spark.implicits._
     val rRows = rDf.select("rid", "xr").as[(Long, Array[Double])].collect()
     val t = DenormNn.joined(sDf, rDf)
-    val init = NnModel.init(nh = 5, d = 7, seed = 43, activation = Activation.Relu)
-    val (nextS, lS) = DenormNn.epoch(t, init, lr = 0.05)
-    val (nextF, lF) = FNn.epoch(sDf, rRows, init, lr = 0.05, dS = 3)
-    assert(math.abs(lS - lF) < 1e-10)
-    assert(nextS.maxAbsDiff(nextF) < Tol)
+    Seq(Activation.Sigmoid, Activation.Relu, Activation.Tanh, Activation.Identity).foreach { act =>
+      val init = NnModel.init(nh = 5, d = 7, seed = 43, activation = act)
+      val (nextS, lS) = DenormNn.epoch(t, init, lr = 0.05)
+      val (nextF, lF) = FNn.epoch(sDf, rRows, init, lr = 0.05, dS = 3)
+      assert(math.abs(lS - lF) < 1e-10, act.name)
+      assert(nextS.maxAbsDiff(nextF) < Tol, act.name)
+    }
   }
 
   test("M-NN (materialized) equals S-NN and F-NN end to end") {
@@ -100,6 +101,27 @@ class NnEquivalenceSpec extends SparkSpec {
     } finally store.close()
   }
 
+  test("an empty join (every FK an orphan) fails on the driver in M, S and F, binary and q=2") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val s = sDf.withColumn("fk", lit(999L))
+      val init = NnModel.init(nh = 6, d = 7, seed = 41)
+      val (sM0, rsM) = NormalizedSynth.multiway(spark, nS = 500, dS = 2,
+        specs = Seq((10L, 3), (8L, 4)), seed = 35, withTarget = true)
+      val sM = sM0.withColumn("fk1", lit(999L))
+      val initM = NnModel.init(nh = 5, d = 9, seed = 61)
+      val msgs = Seq(() => MNn.train(store, s, rDf, init, epochs = 1, lr = 0.05),
+                     () => SNn.train(s, rDf, init, epochs = 1, lr = 0.05),
+                     () => FNn.train(s, rDf, init, epochs = 1, lr = 0.05),
+                     () => MNn.trainMulti(store, sM, rsM, initM, epochs = 1, lr = 0.05),
+                     () => SNn.trainMulti(sM, rsM, initM, epochs = 1, lr = 0.05),
+                     () => FNnMulti.train(sM, rsM, initM, epochs = 1, lr = 0.05))
+        .map(run => intercept[IllegalArgumentException](run()).getMessage)
+      assert(msgs.distinct.size == 1 && msgs.head.contains("the join is empty"), msgs)
+    } finally store.close()
+  }
+
   test("loss decreases over training (F-NN learns)") {
     val init = NnModel.init(nh = 8, d = 7, seed = 53)
     val fit = FNn.train(sDf, rDf, init, epochs = 6, lr = 0.3)
@@ -123,7 +145,7 @@ class NnEquivalenceSpec extends SparkSpec {
   test("multi-way: S-NN and F-NN update identically per epoch (q=2)") {
     val (s, rs) = NormalizedSynth.multiway(spark, nS = 2000, dS = 2,
       specs = Seq((18L, 3), (12L, 4)), seed = 101, withTarget = true)
-    assertPerEpoch(s, rs, NnModel.init(nh = 5, d = 9, seed = 61), dS = 2, RRel.fkCols(2))
+    assertPerEpoch(s, rs, NnModel.init(nh = 5, d = 9, seed = 61), dS = 2)
   }
 
   test("orphan FKs are dropped like the inner join (binary and q=2)") {
@@ -132,16 +154,16 @@ class NnEquivalenceSpec extends SparkSpec {
       specs = Seq((18L, 3), (12L, 4)), seed = 101, withTarget = true)
     // every 97th row references an R (binary) or R2 (q = 2) tuple that does not exist
     val cases = Seq(
-      (sDf, Seq(rDf), "fk", Seq("fk"), NnModel.init(nh = 6, d = 7, seed = 41), 3),
-      (sM, rsM, "fk2", RRel.fkCols(2), NnModel.init(nh = 5, d = 9, seed = 61), 2))
-    cases.foreach { case (s0, rs, orphanCol, fks, init, dS) =>
+      (RRel.binary(sDf), Seq(rDf), "fk1", NnModel.init(nh = 6, d = 7, seed = 41), 3),
+      (sM, rsM, "fk2", NnModel.init(nh = 5, d = 9, seed = 61), 2))
+    cases.foreach { case (s0, rs, orphanCol, init, dS) =>
       val s = s0.withColumn(orphanCol,
         when(col("sid") % 97 === 0, lit(999L)).otherwise(col(orphanCol)))
       val orphans = s.where(col(orphanCol) === 999L).count()
       assert(orphans > 0)
-      val acc = FNnMulti.pass(FNnMulti.sRows(s, fks), RRel.collect(rs), init, dS)
-      assert(acc.orphans == orphans && acc.n == s.count() - orphans)
-      assertPerEpoch(s, rs, init, dS, fks)
+      val acc = FNnMulti.pass(FNnMulti.sRows(s, rs.length), RRel.collect(rs), init, dS)
+      assert(acc.orphans == orphans && acc.s.n == s.count() - orphans)
+      assertPerEpoch(s, rs, init, dS)
     }
   }
 

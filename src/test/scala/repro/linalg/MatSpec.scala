@@ -32,14 +32,6 @@ class MatSpec extends AnyFunSuite with PropCheck {
     assert(m.mv(Array(1.0, 1.0)).toSeq == Seq(3.0, 7.0, 11.0))
   }
 
-  test("tmv equals transpose-then-mv") {
-    check(matGen()) { m =>
-      check(vecOf(m.rows), n = 3) { x =>
-        assert(Vec.maxAbsDiff(m.tmv(x), m.transpose.mv(x)) < 1e-9)
-      }
-    }
-  }
-
   test("mm against identity is identity") {
     check(squareGen()) { m =>
       assert(m.mm(Mat.eye(m.cols)).maxAbsDiff(m) < 1e-12)
