@@ -32,31 +32,21 @@ private[core] final class RidIndex(n: Int) extends Serializable {
 }
 
 /** One collected attribute relation Ri, checked and indexed once on the
-  * driver before any Spark job: the rows keep their collected order, tuple
-  * `pos` is `rows(pos)`, and `index` maps each rid to its position. Input
-  * the inner join would not define as a key lookup — an empty relation, a
-  * duplicate rid, null or ragged features — is rejected here, naming the
-  * relation and the key.
+  * driver before any Spark job ([[RRel.apply]]): tuple `pos` is the
+  * `pos`-th collected row, its features are
+  * `x(pos·width until (pos + 1)·width)` of one flat array, and `index` maps
+  * each rid to its position. The factorized trainers broadcast the whole
+  * relation once per run.
   */
-private[core] final class RRel(val name: String, val rows: Array[(Long, Array[Double])]) {
-  require(rows.nonEmpty, s"relation $name is empty")
-  val width: Int = Option(rows.head._2).fold(0)(_.length) // a null head fails below
-  val index: RidIndex = new RidIndex(rows.length)
-  rows.indices.foreach { pos =>
-    val (rid, xr) = rows(pos)
-    require(xr != null, s"relation $name: rid $rid has null features")
-    require(xr.length == width,
-      s"relation $name: rid $rid has ${xr.length} features, expected $width (as rid ${rows.head._1})")
-    val prev = index.put(rid, pos)
-    require(prev < 0, s"relation $name has duplicate rid $rid (rows $prev and $pos)")
-  }
+private[core] final class RRel private (val name: String, val n: Int, val width: Int,
+                                        val index: RidIndex, val x: Array[Double]) extends Serializable {
 
   /** Ranges of at least 64 positions (about 64 ranges at most) for the
     * driver's parallel loops over this relation.
     */
   def chunks: Seq[Range] = {
-    val size = math.max(64, rows.length / 64)
-    (0 until rows.length by size).map(from => from until math.min(rows.length, from + size))
+    val size = math.max(64, n / 64)
+    (0 until n by size).map(from => from until math.min(n, from + size))
   }
 }
 
@@ -69,9 +59,31 @@ private[core] object RRel {
     */
   def binary(s: DataFrame): DataFrame = s.withColumnRenamed("fk", fkCols(1).head)
 
+  /** Check and index the collected rows of relation `name`. Input the inner
+    * join would not define as a key lookup — an empty relation, a duplicate
+    * rid, null or ragged features — is rejected here, naming the relation
+    * and the key.
+    */
+  def apply(name: String, rows: Array[(Long, Array[Double])]): RRel = {
+    require(rows.nonEmpty, s"relation $name is empty")
+    val width = Option(rows.head._2).fold(0)(_.length) // a null head fails below
+    val index = new RidIndex(rows.length)
+    val x = new Array[Double](rows.length * width)
+    rows.indices.foreach { pos =>
+      val (rid, xr) = rows(pos)
+      require(xr != null, s"relation $name: rid $rid has null features")
+      require(xr.length == width,
+        s"relation $name: rid $rid has ${xr.length} features, expected $width (as rid ${rows.head._1})")
+      val prev = index.put(rid, pos)
+      require(prev < 0, s"relation $name has duplicate rid $rid (rows $prev and $pos)")
+      System.arraycopy(xr, 0, x, pos * width, width)
+    }
+    new RRel(name, rows.length, width, index, x)
+  }
+
   /** R1 … Rq in join order. */
   def all(rRows: Seq[Array[(Long, Array[Double])]]): Array[RRel] =
-    rRows.zipWithIndex.map { case (rows, i) => new RRel(s"R${i + 1}", rows) }.toArray
+    rRows.zipWithIndex.map { case (rows, i) => RRel(s"R${i + 1}", rows) }.toArray
 
   /** Collect each R(rid, xr) to the driver (nRi ≪ nS), then check and index it. */
   def collect(rs: Seq[DataFrame]): Array[RRel] =

@@ -1,7 +1,7 @@
 package repro.core.gmm
 
-import org.apache.spark.sql.{DataFrame, Encoders}
-import repro.core.{RRel, assemble, iterate}
+import org.apache.spark.sql.DataFrame
+import repro.core.{RRel, assemble, iterate, mergePartitions}
 
 /** Result of a GMM training run: final model plus the log-likelihood of the
   * model *entering* each iteration (so logliks(0) scores the init).
@@ -26,8 +26,7 @@ object DenormGmm {
     * log-likelihood of the incoming model.
     */
   def emStep(t: DataFrame, model: GmmModel): (GmmModel, Double) = {
-    val spark = t.sparkSession
-    import spark.implicits._
+    import t.sparkSession.implicits._
     val k = model.k
     val d = model.d
     val means = model.means
@@ -36,31 +35,29 @@ object DenormGmm {
     val chol = cache.chol
     val logConst = cache.logConst
 
-    implicit val accEnc = Encoders.kryo[GmmAccum]
-    val acc = t.select("xs", "xr").as[(Array[Double], Array[Double])]
-      .mapPartitions { it =>
-        val a = new GmmAccum(k, d)
-        val gamma = new Array[Double](k)
-        val quad = new Array[Double](k)
-        val x = new Array[Double](d) // full-width tuple, as materialized in T
-        val pd = new Array[Double](d)
-        val z = new Array[Double](d)
-        it.foreach { case (xs, xr) =>
-          assemble(xs, xr, x)
-          var i = 0
-          while (i < k) {
-            val mu = means(i)
-            var j = 0
-            while (j < d) { pd(j) = x(j) - mu(j); j += 1 }
-            quad(i) = chol(i).quadInv(pd, z)
-            i += 1
-          }
-          val ll = GmmMath.responsibilities(logConst, quad, gamma)
-          a.add(x, gamma, ll)
+    val rows = t.select("xs", "xr").as[(Array[Double], Array[Double])].rdd
+    val acc = mergePartitions(rows, new GmmAccum(k, d)) { it =>
+      val a = new GmmAccum(k, d)
+      val gamma = new Array[Double](k)
+      val quad = new Array[Double](k)
+      val x = new Array[Double](d) // full-width tuple, as materialized in T
+      val pd = new Array[Double](d)
+      val z = new Array[Double](d)
+      it.foreach { case (xs, xr) =>
+        assemble(xs, xr, x)
+        var i = 0
+        while (i < k) {
+          val mu = means(i)
+          var j = 0
+          while (j < d) { pd(j) = x(j) - mu(j); j += 1 }
+          quad(i) = chol(i).quadInv(pd, z)
+          i += 1
         }
-        Iterator.single(a)
+        val ll = GmmMath.responsibilities(logConst, quad, gamma)
+        a.add(x, gamma, ll)
       }
-      .reduce(_.merge(_))
+      a
+    }(_.merge(_))
     (acc.toModel, acc.loglik)
   }
 

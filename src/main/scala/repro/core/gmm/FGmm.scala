@@ -6,7 +6,8 @@ import repro.core.RRel
 /** Algorithm F-GMM for binary joins S ⋈ R (paper §V-B): the q = 1 case of
   * [[FGmmMulti]], with S's FK column `fk` renamed to `fk1`. Per iteration
   * the R side is precomputed once per R tuple, one pass aggregates S alone,
-  * and the R-side M-step blocks are finished with one kernel per R tuple.
+  * and the R-side M-step blocks are finished with one kernel per R tuple
+  * (UR in the tasks, Σ γ x_r and LR on the driver).
   * The decomposition is exact — models match M-GMM/S-GMM to fp roundoff.
   */
 object FGmm {
@@ -22,8 +23,8 @@ object FGmm {
     FGmmMulti.emStep(RRel.binary(s), Seq(rRows), model, dS)
   }
 
-  /** Collect R once (nR ≪ nS by the paper's setup) and run `iters`
-    * factorized EM iterations.
+  /** Collect and broadcast R once (nR ≪ nS by the paper's setup) and run
+    * `iters` factorized EM iterations.
     */
   def train(s: DataFrame, r: DataFrame, init: GmmModel, iters: Int): GmmFit =
     FGmmMulti.train(RRel.binary(s), Seq(r), init, iters)

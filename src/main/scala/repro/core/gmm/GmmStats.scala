@@ -9,7 +9,7 @@ import repro.linalg.{Mat, Vec}
   * μ_k = (Σ γ x)/N_k and Σ_k = (Σ γ x xᵀ)/N_k − μ_k μ_kᵀ, which equals the
   * paper's Eq. (4) evaluated at the new mean (see DESIGN.md §2).
   *
-  * One accumulator per partition, merged associatively. `sxx` holds only
+  * One accumulator per partition, merged in partition order. `sxx` holds only
   * its upper triangle; [[toModel]] mirrors a scaled copy.
   */
 final class GmmAccum(val k: Int, val d: Int) extends Serializable {

@@ -1,7 +1,7 @@
 package repro.core.nn
 
-import org.apache.spark.sql.{DataFrame, Encoders}
-import repro.core.{RRel, assemble, iterate, requireJoined}
+import org.apache.spark.sql.DataFrame
+import repro.core.{RRel, assemble, iterate, mergePartitions, requireJoined}
 import repro.linalg.{Mat, Vec}
 
 /** Result of an NN training run: final model plus the mean-squared-error
@@ -11,7 +11,7 @@ final case class NnFit(model: NnModel, losses: Seq[Double])
 
 /** Partition-local backprop sums for one full-batch epoch: raw (un-scaled)
   * Σ e·h, Σ e, Σ δ xᵀ, Σ δ and Σ e² — the 1/N factors are applied once at
-  * the end, so partition order cannot perturb the result.
+  * the end, after the partitions are merged in partition order.
   */
 private[nn] final class NnAccum(val nh: Int, val d: Int) extends Serializable {
   var n: Long = 0L
@@ -21,14 +21,16 @@ private[nn] final class NnAccum(val nh: Int, val d: Int) extends Serializable {
   val dW2: Array[Double] = new Array[Double](nh)
   var db2: Double = 0.0
 
-  /** Fold in one row: features `x`, output error `e`, hidden activations `h`
-    * and hidden δ (see [[NnAccum.backprop]]).
+  /** Fold in one row: its leading features `x` (all d of them for M and S;
+    * the S block for F, whose tasks add the R blocks once per R tuple),
+    * output error `e`, hidden activations `h` and hidden δ (see
+    * [[NnAccum.backprop]]).
     */
   def add(x: Array[Double], e: Double, h: Array[Double], delta: Array[Double]): Unit = {
     n += 1; sqErr += e * e; db2 += e
     Vec.axpy(e, h, dW2)
     Vec.addInPlace(db1, delta)
-    dW1.addOuter(1.0, delta, x) // ∂E/∂W1 = δ xᵀ (Eq. 28)
+    dW1.addOuter(1.0, delta, 0, x, 0, 0, x.length) // ∂E/∂W1 = δ xᵀ (Eq. 28)
   }
 
   def merge(o: NnAccum): NnAccum = {
@@ -84,30 +86,27 @@ object DenormNn {
     * incoming model).
     */
   def epoch(t: DataFrame, model: NnModel, lr: Double): (NnModel, Double) = {
-    val spark = t.sparkSession
-    import spark.implicits._
+    import t.sparkSession.implicits._
     val nh = model.nh; val d = model.d
     val w1 = model.w1; val b1 = model.b1; val w2 = model.w2; val b2 = model.b2
     val act = model.activation
 
-    implicit val accEnc = Encoders.kryo[NnAccum]
-    val acc = t.select("xs", "xr", "y").as[(Array[Double], Array[Double], Double)]
-      .mapPartitions { it =>
-        val a = new NnAccum(nh, d)
-        val x = new Array[Double](d) // full-width tuple as stored in T
-        val pre = new Array[Double](nh)
-        val h = new Array[Double](nh)
-        val delta = new Array[Double](nh)
-        it.foreach { case (xs, xr, y) =>
-          assemble(xs, xr, x)
-          // forward: a_j = Σ_i w1_ji x_i + b1_j (paper §VI-A1, undecomposed)
-          w1.mvInto(x, pre, 0)
-          Vec.addInPlace(pre, b1)
-          a.add(x, NnAccum.backprop(pre, y, w2, b2, act, h, delta), h, delta)
-        }
-        Iterator.single(a)
+    val rows = t.select("xs", "xr", "y").as[(Array[Double], Array[Double], Double)].rdd
+    val acc = mergePartitions(rows, new NnAccum(nh, d)) { it =>
+      val a = new NnAccum(nh, d)
+      val x = new Array[Double](d) // full-width tuple as stored in T
+      val pre = new Array[Double](nh)
+      val h = new Array[Double](nh)
+      val delta = new Array[Double](nh)
+      it.foreach { case (xs, xr, y) =>
+        assemble(xs, xr, x)
+        // forward: a_j = Σ_i w1_ji x_i + b1_j (paper §VI-A1, undecomposed)
+        w1.mvInto(x, 0, pre, 0)
+        Vec.addInPlace(pre, b1)
+        a.add(x, NnAccum.backprop(pre, y, w2, b2, act, h, delta), h, delta)
       }
-      .reduce(_.merge(_))
+      a
+    }(_.merge(_))
     val (loss, grads) = acc.toGrads
     (model.step(grads, lr), loss)
   }

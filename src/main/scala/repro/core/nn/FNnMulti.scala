@@ -1,49 +1,74 @@
 package repro.core.nn
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col}
-import repro.core.{RRel, iterate, probe}
-import repro.linalg.{Mat, Vec}
+import repro.core.{RRel, iterate, mergePartitions, probe, withBroadcast}
+import repro.linalg.Vec
 import scala.collection.parallel.CollectionConverters._
 
-/** Partition-local statistics of the factorized backprop pass: M/S's sums
-  * over the S block alone plus per-FK grouped δ-sums for each Ri.
+/** Partition sums of the factorized backprop pass, as a task returns them:
+  * M/S's sums over the full width d (`sums`) and the count of `orphans`,
+  * rows whose FK has no Ri tuple, which are not folded in (inner-join
+  * semantics).
   *
-  * `perFk(i)` is flat and indexed by Ri position: the tuple at `pos` owns
-  * Σ δ (nh doubles) from `pos·nh`, and merging is an element-wise add. Rows
-  * whose FK has no Ri tuple are not folded in; they are counted in
-  * `orphans` (inner-join semantics).
+  * A row adds only its S block to ∂E/∂W1; its δ also goes into task-local
+  * per-tuple δ-sums, one flat array per Ri (the tuple at `pos` owns nh
+  * doubles from `pos·nh`). [[seal]] adds each touched tuple's
+  * (Σ δ) x_rᵀ into the Ri block of ∂E/∂W1, so no per-tuple state leaves
+  * the task.
   */
-private[nn] final class FNnMultiAccum(val nh: Int, val dS: Int, val nR: Array[Int])
-    extends Serializable {
-  val q: Int = nR.length
-  /** n, Σ e², the output and hidden gradient sums, and PG_S = Σ δ x_Sᵀ. */
-  val s: NnAccum = new NnAccum(nh, dS)
+private[nn] final class FNnMultiAccum(val nh: Int, val dS: Int, val dims: Array[Int],
+                                      val nR: Array[Int]) extends Serializable {
+  val q: Int = dims.length
+  private val offs = dims.scanLeft(dS)(_ + _) // offs(i) = first column of Ri in W1
+  val sums: NnAccum = new NnAccum(nh, offs(q))
   var orphans: Long = 0L
-  val perFk: Array[Array[Double]] = Array.tabulate(q)(i => new Array[Double](nR(i) * nh))
+  @transient private lazy val deltaSums: Array[Array[Double]] =
+    Array.tabulate(q)(i => new Array[Double](nR(i) * nh))
+  @transient private lazy val touched: Array[Array[Boolean]] = Array.tabulate(q)(i => new Array[Boolean](nR(i)))
 
   /** Fold in one joined row: S features `xs`, the position `pos(i)` of its
     * Ri tuple, output error `e`, hidden activations `h` and hidden δ.
     */
   def add(pos: Array[Int], xs: Array[Double], e: Double, h: Array[Double],
           delta: Array[Double]): Unit = {
-    s.add(xs, e, h, delta)
+    sums.add(xs, e, h, delta)
+    val ds = deltaSums; val hit = touched
     var rel = 0
     while (rel < q) { // grouped δ for PG_Ri
-      val slot = perFk(rel)
+      val slot = ds(rel)
       val base = pos(rel) * nh
       var j = 0
       while (j < nh) { slot(base + j) += delta(j); j += 1 }
+      hit(rel)(pos(rel)) = true
       rel += 1
     }
   }
 
-  def merge(o: FNnMultiAccum): FNnMultiAccum = {
-    require(o.nh == nh && o.dS == dS && o.nR.sameElements(nR))
-    s.merge(o.s); orphans += o.orphans
+  /** End of the task: PG_Ri += (Σ δ) x_rᵀ for every Ri tuple a row of this
+    * task joined, x_r read from `x(i)` at `pos·dims(i)` (Eq. 32). Call it
+    * once, after the last `add` and before any `merge`.
+    */
+  def seal(x: Array[Array[Double]]): this.type = {
+    val ds = deltaSums; val hit = touched
     var rel = 0
-    while (rel < q) { Vec.addInPlace(perFk(rel), o.perFk(rel)); rel += 1 }
+    while (rel < q) {
+      var pos = 0
+      while (pos < nR(rel)) {
+        if (hit(rel)(pos))
+          sums.dW1.addOuter(1.0, ds(rel), pos * nh, x(rel), pos * dims(rel), offs(rel), dims(rel))
+        pos += 1
+      }
+      rel += 1
+    }
+    this
+  }
+
+  def merge(o: FNnMultiAccum): FNnMultiAccum = {
+    require(o.nh == nh && o.dS == dS && o.dims.sameElements(dims) && o.nR.sameElements(nR))
+    sums.merge(o.sums); orphans += o.orphans
     this
   }
 }
@@ -58,8 +83,10 @@ private[nn] final class FNnMultiAccum(val nh: Int, val dS: Int, val nR: Array[In
   * forward cost drops from nh·d to nh·dS.
   *
   * Backward (Eq. 32): `∂E/∂W1 = ∂E/∂a · xᵀ` splits into [PG_S | PG_R1 …];
-  * each PG_Ri is finished from flat per-position δ-sums with one outer
-  * product per Ri tuple.
+  * each task finishes its share of every PG_Ri from its per-tuple δ-sums
+  * with one outer product per tuple it touched, so the driver only merges
+  * d-wide sums. Each relation's features and index are broadcast once per
+  * run, the `W1_Ri x_r` arrays once per epoch.
   *
   * Per the paper's recommendation (§VI-A2), no factorization is attempted
   * beyond the first layer: sigmoid/tanh are not additive and even for
@@ -71,12 +98,12 @@ object FNnMulti {
   def epoch(s: DataFrame, rRows: Seq[Array[(Long, Array[Double])]], model: NnModel,
             lr: Double, dS: Int): (NnModel, Double) = {
     val rels = RRel.all(rRows)
-    step(sRows(s, rels.length), rels, model, lr, dS)
+    withBroadcast(s.sparkSession.sparkContext, rels)(step(sRows(s, rels.length), _, model, lr, dS))
   }
 
-  private def step(sRows: RDD[(Array[Long], Array[Double], Double)], rels: Array[RRel],
+  private def step(sRows: RDD[(Array[Long], Array[Double], Double)], rels: Broadcast[Array[RRel]],
                    model: NnModel, lr: Double, dS: Int): (NnModel, Double) = {
-    val (loss, grads) = finish(pass(sRows, rels, model, dS), rels, model.d).toGrads
+    val (loss, grads) = pass(sRows, rels, model, dS).sums.toGrads
     (model.step(grads, lr), loss)
   }
 
@@ -95,86 +122,68 @@ object FNnMulti {
     val offs = rels.map(_.width).scanLeft(dS)(_ + _)
     Array.tabulate(rels.length) { i =>
       val w1R = model.w1.block(0, nh, offs(i), offs(i + 1))
-      val rows = rels(i).rows
-      val pre = new Array[Double](rows.length * nh)
-      rels(i).chunks.par.foreach(_.foreach(pos => w1R.mvInto(rows(pos)._2, pre, pos * nh)))
+      val x = rels(i).x
+      val di = rels(i).width
+      val pre = new Array[Double](rels(i).n * nh)
+      rels(i).chunks.par.foreach(_.foreach(pos => w1R.mvInto(x, pos * di, pre, pos * nh)))
       pre
     }
   }
 
   /** Forward and backward over S only, with W1_Ri x_r precomputed per Ri tuple. */
-  private[nn] def pass(sRows: RDD[(Array[Long], Array[Double], Double)], rels: Array[RRel],
+  private[nn] def pass(sRows: RDD[(Array[Long], Array[Double], Double)], rels: Broadcast[Array[RRel]],
                        model: NnModel, dS: Int): FNnMultiAccum = {
-    val q = rels.length
+    val rs = rels.value
+    val q = rs.length
     val nh = model.nh
-    val nR = rels.map(_.rows.length)
-    require(dS >= 0 && model.d == dS + rels.map(_.width).sum,
-      s"model d=${model.d} != $dS + ${rels.map(_.width).mkString("+")}")
-    // The tasks read only the S block of W1, the other small parameters and the broadcast.
+    val dims = rs.map(_.width)
+    val nR = rs.map(_.n)
+    require(dS >= 0 && model.d == dS + dims.sum, s"model d=${model.d} != $dS + ${dims.mkString("+")}")
+    // The tasks read only the S block of W1, the other small parameters and the broadcasts.
     val w1S = model.w1.block(0, nh, 0, dS)
     val b1 = model.b1; val w2 = model.w2; val b2 = model.b2
     val act = model.activation
-    val bc = sRows.sparkContext.broadcast((rels.map(_.index), precompute(rels, model, dS)))
 
-    try {
-      sRows
-        .mapPartitions { it =>
-          val (index, pre) = bc.value
-          val a = new FNnMultiAccum(nh, dS, nR)
-          val preAct = new Array[Double](nh)
-          val h = new Array[Double](nh)
-          val delta = new Array[Double](nh)
-          val pos = new Array[Int](q)
-          it.foreach { case (fks, xs, y) =>
-            if (!probe(index, fks, pos, xs, dS)) a.orphans += 1
-            else {
-              w1S.mvInto(xs, preAct, 0) // nh·dS instead of nh·d
-              Vec.addInPlace(preAct, b1)
-              var rel = 0
-              while (rel < q) {
-                val p = pre(rel)
-                val base = pos(rel) * nh
-                var j = 0
-                while (j < nh) { preAct(j) += p(base + j); j += 1 }
-                rel += 1
-              }
-              a.add(pos, xs, NnAccum.backprop(preAct, y, w2, b2, act, h, delta), h, delta)
+    withBroadcast(sRows.sparkContext, precompute(rs, model, dS)) { preBc =>
+      mergePartitions(sRows, new FNnMultiAccum(nh, dS, dims, nR)) { it =>
+        val r = rels.value
+        val pre = preBc.value
+        val a = new FNnMultiAccum(nh, dS, dims, nR)
+        val preAct = new Array[Double](nh)
+        val h = new Array[Double](nh)
+        val delta = new Array[Double](nh)
+        val pos = new Array[Int](q)
+        it.foreach { case (fks, xs, y) =>
+          if (!probe(r, fks, pos, xs, dS)) a.orphans += 1
+          else {
+            w1S.mvInto(xs, 0, preAct, 0) // nh·dS instead of nh·d
+            Vec.addInPlace(preAct, b1)
+            var rel = 0
+            while (rel < q) {
+              val p = pre(rel)
+              val base = pos(rel) * nh
+              var j = 0
+              while (j < nh) { preAct(j) += p(base + j); j += 1 }
+              rel += 1
             }
+            a.add(pos, xs, NnAccum.backprop(preAct, y, w2, b2, act, h, delta), h, delta)
           }
-          Iterator.single(a)
         }
-        .reduce(_.merge(_))
-    } finally bc.destroy()
-  }
-
-  /** M/S's sums over the full width d: the pass's S-block sums, with
-    * ∂E/∂W1 assembled as [PG_S | PG_R1 …] (Eq. 32), each PG_Ri finished with
-    * one outer product per Ri tuple from its δ-sum.
-    */
-  private def finish(acc: FNnMultiAccum, rels: Array[RRel], d: Int): NnAccum = {
-    val nh = acc.nh
-    val full = new NnAccum(nh, d)
-    full.n = acc.s.n; full.sqErr = acc.s.sqErr; full.db2 = acc.s.db2
-    System.arraycopy(acc.s.db1, 0, full.db1, 0, nh)
-    System.arraycopy(acc.s.dW2, 0, full.dW2, 0, nh)
-    full.dW1.setBlock(0, 0, acc.s.dW1)
-    var off = acc.dS
-    rels.indices.foreach { rel =>
-      val rows = rels(rel).rows
-      val g = Mat.zeros(nh, rels(rel).width)
-      rows.indices.foreach(pos => g.addOuter(1.0, acc.perFk(rel), pos * nh, rows(pos)._2, 0))
-      full.dW1.setBlock(0, off, g)
-      off += rels(rel).width
+        a.seal(r.map(_.x))
+      }(_.merge(_))
     }
-    full
   }
 
-  /** Collect, check and index each Ri once, then run `epochs` factorized epochs. */
+  /** Collect, check and index each Ri once, broadcast it once, then run
+    * `epochs` factorized epochs.
+    */
   def train(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit = {
     val rels = RRel.collect(rs)
     val dS = init.d - rels.map(_.width).sum
     val rows = sRows(s, rels.length)
-    val (model, losses) = iterate(init, epochs)(step(rows, rels, _, lr, dS))
+    val (model, losses) = withBroadcast(s.sparkSession.sparkContext, rels) { bc =>
+      iterate(init, epochs)(step(rows, bc, _, lr, dS))
+    }
     NnFit(model, losses)
   }
 }

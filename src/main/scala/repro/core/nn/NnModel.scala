@@ -49,16 +49,6 @@ final case class NnModel(w1: Mat, b1: Array[Double], w2: Array[Double], b2: Doub
   val d: Int = w1.cols
   require(b1.length == nh && w2.length == nh)
 
-  /** Forward pass for one tuple (used by tests / prediction). */
-  def predict(x: Array[Double]): Double = {
-    val a = w1.mv(x)
-    Vec.addInPlace(a, b1)
-    var o = b2
-    var j = 0
-    while (j < nh) { o += w2(j) * activation.f(a(j)); j += 1 }
-    o
-  }
-
   def maxAbsDiff(other: NnModel): Double = {
     require(other.nh == nh && other.d == d)
     Seq(w1.maxAbsDiff(other.w1), Vec.maxAbsDiff(b1, other.b1),

@@ -1,7 +1,11 @@
 package repro
 
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, concat}
+import scala.reflect.ClassTag
 
 package object core {
 
@@ -17,6 +21,22 @@ package object core {
       v
     }
     (model, objective)
+  }
+
+  /** The one partition merge of every pass: run `part` once per partition
+    * of `rows`, collect the results indexed by partition and left-fold them
+    * in partition order from `empty`. The same input therefore gives the
+    * same sums bit for bit, and an input with no partitions gives `empty`,
+    * whose M-step or gradient finish fails as an empty join.
+    */
+  private[core] def mergePartitions[T, A: ClassTag](rows: RDD[T], empty: A)(part: Iterator[T] => A)(
+      merge: (A, A) => A): A =
+    rows.sparkContext.runJob(rows, part).foldLeft(empty)(merge)
+
+  /** Broadcast `value` to the jobs `body` runs, and destroy it afterwards. */
+  private[core] def withBroadcast[A: ClassTag, B](sc: SparkContext, value: A)(body: Broadcast[A] => B): B = {
+    val bc = sc.broadcast(value)
+    try body(bc) finally bc.destroy()
   }
 
   /** The projected equi-join T(sid, xs, xr, keep…) of S ⋈ R1 ⋈ … ⋈ Rq
@@ -58,11 +78,11 @@ package object core {
     * for an orphan row, one whose FK has no Ri tuple (the inner join drops
     * it). A joined row whose features are null or not `dS` wide is rejected.
     */
-  private[core] def probe(index: Array[RidIndex], fks: Array[Long], pos: Array[Int],
+  private[core] def probe(rels: Array[RRel], fks: Array[Long], pos: Array[Int],
                           xs: Array[Double], dS: Int): Boolean = {
     var rel = 0
     while (rel < pos.length) {
-      pos(rel) = index(rel)(fks(rel))
+      pos(rel) = rels(rel).index(fks(rel))
       if (pos(rel) < 0) return false
       rel += 1
     }

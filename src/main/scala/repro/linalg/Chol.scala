@@ -13,11 +13,8 @@ package repro.linalg
   * column j of L is then the contiguous row j of `ut`, so both triangular
   * solves run contiguous inner loops.
   */
-final class Chol private (val n: Int, private val ut: Array[Double], private val rd: Array[Double])
+final class Chol private (val n: Int, private[linalg] val ut: Array[Double], private val rd: Array[Double])
     extends Serializable {
-
-  /** Lower-triangular factor L (copy). */
-  def lower: Mat = new Mat(n, n, ut).transpose
 
   /** log|A| = 2 Σ log L(i,i). */
   def logDet: Double = {

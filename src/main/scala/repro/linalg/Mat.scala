@@ -20,42 +20,16 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
 
   def copy: Mat = new Mat(rows, cols, a.clone())
 
-  /** Matrix–vector product `this * x`. */
-  def mv(x: Array[Double]): Array[Double] = {
-    require(x.length == cols, s"mv: $cols vs ${x.length}")
-    val out = new Array[Double](rows)
-    mvInto(x, out, 0)
-    out
-  }
-
-  /** `out(outOff until outOff + rows) = this * x`, allocation-free. */
-  def mvInto(x: Array[Double], out: Array[Double], outOff: Int): Unit = {
+  /** `out(outOff until outOff + rows) = this * x'` with x' = x(xOff until
+    * xOff + cols), allocation-free.
+    */
+  def mvInto(x: Array[Double], xOff: Int, out: Array[Double], outOff: Int): Unit = {
     var i = 0
     while (i < rows) {
       var s = 0.0; var j = 0; val off = i * cols
-      while (j < cols) { s += a(off + j) * x(j); j += 1 }
+      while (j < cols) { s += a(off + j) * x(xOff + j); j += 1 }
       out(outOff + i) = s; i += 1
     }
-  }
-
-  /** Matrix–matrix product `this * other`. */
-  def mm(other: Mat): Mat = {
-    require(cols == other.rows, s"mm: $cols vs ${other.rows}")
-    val out = Mat.zeros(rows, other.cols)
-    var i = 0
-    while (i < rows) {
-      var k = 0
-      while (k < cols) {
-        val v = a(i * cols + k)
-        if (v != 0.0) {
-          val off = k * other.cols; val oOff = i * other.cols; var j = 0
-          while (j < other.cols) { out.a(oOff + j) += v * other.a(off + j); j += 1 }
-        }
-        k += 1
-      }
-      i += 1
-    }
-    out
   }
 
   /** Quadratic form `xᵀ * this * x` (square matrices). */
@@ -109,29 +83,32 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
     addOuter(s, x, 0, y, 0)
   }
 
-  /** `this += s * x' y'ᵀ` in place, where x' = x(xOff until xOff + rows) and
-    * y' = y(yOff until yOff + cols): the outer product of two slices of
-    * flat arrays, without copying them out.
+  /** `this(·, c0 until c0 + n) += s * x' y'ᵀ` in place, where
+    * x' = x(xOff until xOff + rows) and y' = y(yOff until yOff + n): the outer
+    * product of two slices of flat arrays, without copying them out, into
+    * the n columns from c0 (by default all of them).
     */
-  def addOuter(s: Double, x: Array[Double], xOff: Int, y: Array[Double], yOff: Int): Unit = {
+  def addOuter(s: Double, x: Array[Double], xOff: Int, y: Array[Double], yOff: Int,
+               c0: Int = 0, n: Int = cols): Unit = {
     var i = 0
     while (i < rows) {
-      val sxi = s * x(xOff + i); val off = i * cols; var j = 0
-      while (j < cols) { a(off + j) += sxi * y(yOff + j); j += 1 }
+      val sxi = s * x(xOff + i); val off = i * cols + c0; var j = 0
+      while (j < n) { a(off + j) += sxi * y(yOff + j); j += 1 }
       i += 1
     }
   }
 
-  /** `this += s * x xᵀ` on the upper triangle only (j ≥ i), in place: half
-    * the work of `addOuter(s, x, x)` for a symmetric sum. The strict lower
-    * triangle is left as is; [[mirrorUpper]] fills it once the sum is done.
+  /** `this += s * x' x'ᵀ` with x' = x(xOff until xOff + rows), on the upper
+    * triangle only (j ≥ i), in place: half the work of `addOuter(s, x, x)`
+    * for a symmetric sum. The strict lower triangle is left as is;
+    * [[mirrorUpper]] fills it once the sum is done.
     */
-  def addOuterUpper(s: Double, x: Array[Double]): Unit = {
-    require(rows == cols && x.length == rows, s"addOuterUpper: $rows x $cols vs ${x.length}")
+  def addOuterUpper(s: Double, x: Array[Double], xOff: Int = 0): Unit = {
+    require(rows == cols && xOff + rows <= x.length, s"addOuterUpper: $rows x $cols vs ${x.length}")
     var i = 0
     while (i < rows) {
-      val sxi = s * x(i); val off = i * cols; var j = i
-      while (j < cols) { a(off + j) += sxi * x(j); j += 1 }
+      val sxi = s * x(xOff + i); val off = i * cols; var j = i
+      while (j < cols) { a(off + j) += sxi * x(xOff + j); j += 1 }
       i += 1
     }
   }
@@ -156,12 +133,6 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
 
   /** Fresh `this * s`. */
   def scaled(s: Double): Mat = new Mat(rows, cols, Vec.scale(s, a))
-
-  /** Fresh `this - other`. */
-  def minus(other: Mat): Mat = {
-    require(rows == other.rows && cols == other.cols)
-    new Mat(rows, cols, Vec.sub(a, other.a))
-  }
 
   /** Symmetrize in place: `this = (this + thisᵀ)/2` — kills fp drift in Σ. */
   def symmetrize(): Unit = {
@@ -193,20 +164,6 @@ object Mat {
     val m = zeros(d.length, d.length)
     var i = 0
     while (i < d.length) { m(i, i) = d(i); i += 1 }
-    m
-  }
-
-  /** Build from a row-of-rows literal (used by tests). */
-  def fromRows(rs: Seq[Seq[Double]]): Mat = {
-    val r = rs.length; val c = rs.head.length
-    require(rs.forall(_.length == c), "ragged rows")
-    new Mat(r, c, rs.flatten.toArray)
-  }
-
-  /** Outer product `x yᵀ` as a fresh matrix. */
-  def outer(x: Array[Double], y: Array[Double]): Mat = {
-    val m = zeros(x.length, y.length)
-    m.addOuter(1.0, x, y)
     m
   }
 }

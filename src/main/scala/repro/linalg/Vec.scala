@@ -20,15 +20,6 @@ object Vec {
     s
   }
 
-  /** Element-wise `a - b` into a fresh array. */
-  def sub(a: Array[Double], b: Array[Double]): Array[Double] = {
-    require(a.length == b.length, s"sub: ${a.length} vs ${b.length}")
-    val out = new Array[Double](a.length)
-    var i = 0
-    while (i < a.length) { out(i) = a(i) - b(i); i += 1 }
-    out
-  }
-
   /** `acc += s * x` in place. */
   def axpy(s: Double, x: Array[Double], acc: Array[Double]): Unit = {
     require(x.length == acc.length, s"axpy: ${x.length} vs ${acc.length}")
@@ -44,14 +35,6 @@ object Vec {
     val out = new Array[Double](x.length)
     var i = 0
     while (i < x.length) { out(i) = s * x(i); i += 1 }
-    out
-  }
-
-  /** Concatenate vectors in order. */
-  def concat(parts: Array[Double]*): Array[Double] = {
-    val out = new Array[Double](parts.map(_.length).sum)
-    var off = 0
-    parts.foreach { p => System.arraycopy(p, 0, out, off, p.length); off += p.length }
     out
   }
 

@@ -3,6 +3,7 @@ package repro.core.gmm
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.RRel
 import repro.linalg.Vec
+import repro.linalg.TestKernels._
 
 /** Unit tests of the sufficient-statistics accumulators: partition-merge
   * associativity and agreement between the denormalized and factorized
@@ -44,7 +45,7 @@ class GmmAccumSpec extends AnyFunSuite {
   }
 
   test("FGmmMultiAccum merge is order-insensitive (flat per-position state, q=2)") {
-    // q = 1 is the binary join's per-FK state
+    // q = 1 is the binary join's per-FK state; each part is sealed, as a task returns it
     for ((dims, nR) <- Seq((Array(3), Array(5)), (Array(3, 2), Array(4, 3)))) {
       val q = dims.length
       val xr = dims.zip(nR).map { case (di, n) => Array.fill(di * n)(rnd.nextGaussian()) }
@@ -56,41 +57,45 @@ class GmmAccumSpec extends AnyFunSuite {
         val a = new FGmmMultiAccum(k, dS, dims, nR)
         idx.foreach { i =>
           val (pos, xs, g, ll) = pts(i)
-          a.add(pos, xs, xr, pos.indices.map(rel => pos(rel) * dims(rel)).toArray, g, ll)
+          if (i % 7 == 0) a.orphans += 1 else a.add(pos, xs, xr, g, ll)
         }
-        a
+        a.seal(xr)
       }
       val whole = accumulate(pts.indices)
       val merged = accumulate(30 until 50).merge(accumulate(0 until 12)).merge(accumulate(12 until 30))
-      assert(whole.s.n == merged.s.n && whole.orphans == merged.orphans)
+      assert(whole.s.n == merged.s.n && whole.orphans == merged.orphans && whole.orphans == 8)
       assert(math.abs(whole.s.loglik - merged.s.loglik) < 1e-9)
       (0 until k).foreach { i =>
         assert(math.abs(whole.s.nk(i) - merged.s.nk(i)) < 1e-9)
         assert(Vec.maxAbsDiff(whole.s.sx(i), merged.s.sx(i)) < 1e-9)
         assert(whole.s.sxx(i).maxAbsDiff(merged.s.sxx(i)) < 1e-9)
+        for (a <- 0 until q) assert(whole.ur(a)(i).maxAbsDiff(merged.ur(a)(i)) < 1e-9)
         for (a <- 0 until q; b <- a + 1 until q)
           assert(whole.cross(a)(b - a - 1)(i).maxAbsDiff(merged.cross(a)(b - a - 1)(i)) < 1e-9)
       }
-      (0 until q).foreach(rel => assert(Vec.maxAbsDiff(whole.perFk(rel), merged.perFk(rel)) < 1e-9))
+      (0 until q).foreach(rel => assert(Vec.maxAbsDiff(whole.g(rel), merged.g(rel)) < 1e-9))
     }
   }
 
   test("denormalized and factorized accumulators agree on the final model") {
-    // the F-GMM engine's accumulator and finish, for q = 1 (binary) and q = 2
+    // the F-GMM engine's task results (three sealed parts, merged in order
+    // from an empty accumulator) and its finish, for q = 1 (binary) and q = 2
     for (dims <- Seq(Array(dR), Array(dR, 2))) {
       val q = dims.length
       val xrOf = dims.map(di => (1L to 5L).map(_ -> Array.fill(di)(rnd.nextGaussian())).toMap)
       val rels = RRel.all(xrOf.toSeq.map(_.toArray))
-      val flat = rels.map(_.rows.flatMap(_._2))
+      val x = rels.map(_.x)
+      val nR = Array.fill(q)(5)
 
       val denorm = new GmmAccum(k, dS + dims.sum)
-      val fact = new FGmmMultiAccum(k, dS, dims, Array.fill(q)(5))
-      Array.fill(100)(randomPoint()).foreach { case (fk, xs, _, g, ll) =>
+      val parts = Array.fill(3)(new FGmmMultiAccum(k, dS, dims, nR))
+      Array.fill(100)(randomPoint()).zipWithIndex.foreach { case ((fk, xs, _, g, ll), n) =>
         val fks = fk +: Array.fill(q - 1)(rnd.nextInt(5) + 1L)
         val pos = fks.indices.map(rel => rels(rel).index(fks(rel))).toArray
         denorm.add(Vec.concat(xs +: fks.indices.map(rel => xrOf(rel)(fks(rel))): _*), g, ll)
-        fact.add(pos, xs, flat, pos.indices.map(rel => pos(rel) * dims(rel)).toArray, g, ll)
+        parts(n % 3).add(pos, xs, x, g, ll)
       }
+      val fact = parts.map(_.seal(x)).foldLeft(new FGmmMultiAccum(k, dS, dims, nR))(_.merge(_))
       assert(denorm.toModel.maxAbsDiff(FGmmMulti.finish(fact, rels, dS)) < 1e-9)
     }
   }

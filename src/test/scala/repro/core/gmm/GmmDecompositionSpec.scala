@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropCheck
 import repro.linalg.{Mat, Vec}
+import repro.linalg.TestKernels._
 
 /** Property tests of the paper's exact decompositions (Eq. 7–24): the
   * factorized block expressions equal the full-width expressions for random

@@ -2,7 +2,7 @@ package repro.core.gmm
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.core.RRel
+import repro.core.{RRel, withBroadcast}
 import repro.core.nn.{FNn, NnModel}
 import repro.data.{NormalizedSynth, Store}
 
@@ -15,23 +15,28 @@ class GmmEquivalenceSpec extends SparkSpec {
 
   private val Tol = 1e-7
 
-  /** S-GMM over the inner join and the F-GMM engine agree after each of two
-    * EM iterations from `init`. S's column `fk<i>` references `rs(i - 1)`;
-    * a binary S goes through [[RRel.binary]] first.
+  /** S-GMM over the inner join and the F-GMM engine agree after each of
+    * `iters` EM iterations from `init`, and so does M-GMM over T
+    * materialized in `store`, if given. S's column `fk<i>` references
+    * `rs(i - 1)`; a binary S goes through [[RRel.binary]] first.
     */
   private def assertMultiPerIteration(s: DataFrame, rs: Seq[DataFrame], init: GmmModel,
-                                      dS: Int): Unit = {
+                                      dS: Int, iters: Int = 2, store: Option[Store] = None): Unit = {
     import spark.implicits._
     val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
-    var mS = init
-    var mF = init
     val t = SGmm.joinedMulti(s, rs)
-    (1 to 2).foreach { it =>
-      val (nextS, llS) = DenormGmm.emStep(t, mS)
+    val ts = t +: store.map(_.write("t_per_iteration", t)).toSeq // S, then M
+    var ms = ts.map(_ => init)
+    var mF = init
+    (1 to iters).foreach { it =>
       val (nextF, llF) = FGmmMulti.emStep(s, rRows, mF, dS)
-      assert(math.abs(llS - llF) / math.abs(llS) < Tol, s"iter $it loglik: $llS vs $llF")
-      assert(nextS.maxAbsDiff(nextF) < Tol, s"iter $it params diverged")
-      mS = nextS; mF = nextF
+      ms = ts.zip(ms).map { case (tt, m) =>
+        val (next, ll) = DenormGmm.emStep(tt, m)
+        assert(math.abs(ll - llF) / math.abs(ll) < Tol, s"iter $it loglik: $ll vs $llF")
+        assert(next.maxAbsDiff(nextF) < Tol, s"iter $it params diverged")
+        next
+      }
+      mF = nextF
     }
   }
 
@@ -61,7 +66,8 @@ class GmmEquivalenceSpec extends SparkSpec {
     val orphans = s.where(col("fk") === 999L).count()
     assert(orphans > 0)
     val init = GmmModel.init(k = 3, d = 7, seed = 5)
-    val acc = FGmmMulti.pass(FGmmMulti.sRows(RRel.binary(s), 1), RRel.collect(Seq(rDf)), init, dS = 3)
+    val acc = withBroadcast(spark.sparkContext, RRel.collect(Seq(rDf)))(
+      FGmmMulti.pass(FGmmMulti.sRows(RRel.binary(s), 1), _, init, dS = 3))
     assert(acc.orphans == orphans && acc.s.n == 3000 - orphans)
     assertMultiPerIteration(RRel.binary(s), Seq(rDf), init, dS = 3)
   }
@@ -138,6 +144,64 @@ class GmmEquivalenceSpec extends SparkSpec {
     } finally store.close()
   }
 
+  test("an S with no rows or no partitions fails like an empty join in M, S and F") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val init = GmmModel.init(k = 3, d = 7, seed = 5)
+      Seq(sDf.limit(0), sDf.where(lit(false))).foreach { s =>
+        val msgs = Seq(() => MGmm.train(store, s, rDf, init, iters = 1),
+                       () => SGmm.train(s, rDf, init, iters = 1),
+                       () => FGmm.train(s, rDf, init, iters = 1))
+          .map(run => intercept[IllegalArgumentException](run()).getMessage)
+        assert(msgs.distinct.size == 1 && msgs.head.contains("the join is empty"), msgs)
+      }
+    } finally store.close()
+  }
+
+  test("repeat runs of M, S and F give bit-identical log-likelihoods and models") {
+    val store = Store.temp(spark)
+    try {
+      val init = GmmModel.init(k = 3, d = 7, seed = 6)
+      def bits(fit: GmmFit): Seq[Double] =
+        fit.logliks ++ (Seq(fit.model.weights) ++ fit.model.means ++ fit.model.covs.map(_.a)).flatMap(_.toSeq)
+      Seq(() => MGmm.train(store, sDf, rDf, init, iters = 2),
+          () => SGmm.train(sDf, rDf, init, iters = 2),
+          () => FGmm.train(sDf, rDf, init, iters = 2)).foreach { run =>
+        assert(bits(run()) == bits(run()))
+      }
+    } finally store.close()
+  }
+
+  test("every S row on one R tuple: M, S and F agree (binary and q=2)") {
+    import org.apache.spark.sql.functions._
+    // One R tuple has no spread, so the R block of every covariance is
+    // singular after one step (the ridge alone keeps it positive definite):
+    // a second step would compare roundoff scaled by 1e9.
+    val store = Store.temp(spark)
+    try {
+      assertMultiPerIteration(RRel.binary(sDf.withColumn("fk", lit(7L))), Seq(rDf),
+        GmmModel.init(k = 3, d = 7, seed = 5), dS = 3, iters = 1, Some(store))
+      val (s, rs) = NormalizedSynth.multiway(spark, nS = 1500, dS = 2,
+        specs = Seq((20L, 3), (15L, 4)), seed = 31, k = 3)
+      assertMultiPerIteration(s.withColumn("fk1", lit(3L)).withColumn("fk2", lit(5L)), rs,
+        GmmModel.init(k = 3, d = 9, seed = 10), dS = 2, iters = 1, Some(store))
+    } finally store.close()
+  }
+
+  test("nR > nS, most R tuples never joined: M, S and F agree per iteration (binary and q=2)") {
+    val store = Store.temp(spark)
+    try {
+      val (sB, rB) = NormalizedSynth.binary(spark, nS = 400, nR = 3000, dS = 3, dR = 4, seed = 79, k = 3)
+      assertMultiPerIteration(RRel.binary(sB), Seq(rB), GmmModel.init(k = 3, d = 7, seed = 5),
+        dS = 3, store = Some(store))
+      val (s, rs) = NormalizedSynth.multiway(spark, nS = 400, dS = 2,
+        specs = Seq((2000L, 3), (1500L, 4)), seed = 41, k = 3)
+      assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 9, seed = 10), dS = 2,
+        store = Some(store))
+    } finally store.close()
+  }
+
   test("log-likelihood is non-decreasing across EM iterations (F-GMM)") {
     val init = GmmModel.init(k = 3, d = 7, seed = 8)
     val fit = FGmm.train(sDf, rDf, init, iters = 4)
@@ -179,7 +243,8 @@ class GmmEquivalenceSpec extends SparkSpec {
     val init = GmmModel.init(k = 3, d = 9, seed = 10)
     import spark.implicits._
     val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
-    val acc = FGmmMulti.pass(FGmmMulti.sRows(s, 2), RRel.all(rRows), init, dS = 2)
+    val acc = withBroadcast(spark.sparkContext, RRel.all(rRows))(
+      FGmmMulti.pass(FGmmMulti.sRows(s, 2), _, init, dS = 2))
     assert(acc.orphans == orphans && acc.s.n == 2500 - orphans)
     assertMultiPerIteration(s, rs, init, dS = 2)
   }

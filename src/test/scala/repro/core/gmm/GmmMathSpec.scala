@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropCheck
 import repro.linalg.{Chol, Mat, Vec}
+import repro.linalg.TestKernels._
 
 /** Pure-math checks of the model plumbing: density constants,
   * responsibilities, and the stability of the log-sum-exp path.

@@ -2,7 +2,7 @@ package repro.core.nn
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.core.RRel
+import repro.core.{RRel, withBroadcast}
 import repro.data.{NormalizedSynth, Store}
 
 /** The NN counterpart of the paper's exactness claim: M-NN, S-NN and F-NN
@@ -15,21 +15,27 @@ class NnEquivalenceSpec extends SparkSpec {
   private val Tol = 1e-7
 
   /** S-NN over the inner join and the F-NN engine update identically in
-    * each of two epochs from `init`. S's column `fk<i>` references
-    * `rs(i - 1)`; a binary S goes through [[RRel.binary]] first.
+    * each of two epochs from `init`, and so does M-NN over T materialized in
+    * `store`, if given. S's column `fk<i>` references `rs(i - 1)`; a binary
+    * S goes through [[RRel.binary]] first.
     */
-  private def assertPerEpoch(s: DataFrame, rs: Seq[DataFrame], init: NnModel, dS: Int): Unit = {
+  private def assertPerEpoch(s: DataFrame, rs: Seq[DataFrame], init: NnModel, dS: Int,
+                             store: Option[Store] = None): Unit = {
     import spark.implicits._
     val rRows = rs.map(_.select("rid", "xr").as[(Long, Array[Double])].collect())
     val t = SNn.joinedMulti(s, rs)
-    var mS = init
+    val ts = t +: store.map(_.write("t_per_epoch", t)).toSeq // S, then M
+    var ms = ts.map(_ => init)
     var mF = init
     (1 to 2).foreach { ep =>
-      val (nextS, lS) = DenormNn.epoch(t, mS, lr = 0.05)
       val (nextF, lF) = FNnMulti.epoch(s, rRows, mF, lr = 0.05, dS)
-      assert(math.abs(lS - lF) < 1e-10, s"epoch $ep loss: $lS vs $lF")
-      assert(nextS.maxAbsDiff(nextF) < Tol, s"epoch $ep params diverged")
-      mS = nextS; mF = nextF
+      ms = ts.zip(ms).map { case (tt, m) =>
+        val (next, l) = DenormNn.epoch(tt, m, lr = 0.05)
+        assert(math.abs(l - lF) < 1e-10, s"epoch $ep loss: $l vs $lF")
+        assert(next.maxAbsDiff(nextF) < Tol, s"epoch $ep params diverged")
+        next
+      }
+      mF = nextF
     }
   }
 
@@ -122,6 +128,61 @@ class NnEquivalenceSpec extends SparkSpec {
     } finally store.close()
   }
 
+  test("an S with no rows or no partitions fails like an empty join in M, S and F") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val init = NnModel.init(nh = 6, d = 7, seed = 41)
+      Seq(sDf.limit(0), sDf.where(lit(false))).foreach { s =>
+        val msgs = Seq(() => MNn.train(store, s, rDf, init, epochs = 1, lr = 0.05),
+                       () => SNn.train(s, rDf, init, epochs = 1, lr = 0.05),
+                       () => FNn.train(s, rDf, init, epochs = 1, lr = 0.05))
+          .map(run => intercept[IllegalArgumentException](run()).getMessage)
+        assert(msgs.distinct.size == 1 && msgs.head.contains("the join is empty"), msgs)
+      }
+    } finally store.close()
+  }
+
+  test("repeat runs of M, S and F give bit-identical losses and models") {
+    val store = Store.temp(spark)
+    try {
+      val init = NnModel.init(nh = 6, d = 7, seed = 47)
+      def bits(fit: NnFit): Seq[Double] =
+        fit.losses ++ fit.model.w1.a ++ fit.model.b1 ++ fit.model.w2 :+ fit.model.b2
+      Seq(() => MNn.train(store, sDf, rDf, init, epochs = 2, lr = 0.05),
+          () => SNn.train(sDf, rDf, init, epochs = 2, lr = 0.05),
+          () => FNn.train(sDf, rDf, init, epochs = 2, lr = 0.05)).foreach { run =>
+        assert(bits(run()) == bits(run()))
+      }
+    } finally store.close()
+  }
+
+  test("every S row on one R tuple: M, S and F agree per epoch (binary and q=2)") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      assertPerEpoch(RRel.binary(sDf.withColumn("fk", lit(7L))), Seq(rDf),
+        NnModel.init(nh = 6, d = 7, seed = 41), dS = 3, Some(store))
+      val (s, rs) = NormalizedSynth.multiway(spark, nS = 1500, dS = 2,
+        specs = Seq((18L, 3), (12L, 4)), seed = 101, withTarget = true)
+      assertPerEpoch(s.withColumn("fk1", lit(3L)).withColumn("fk2", lit(5L)), rs,
+        NnModel.init(nh = 5, d = 9, seed = 61), dS = 2, Some(store))
+    } finally store.close()
+  }
+
+  test("nR > nS, most R tuples never joined: M, S and F agree per epoch (binary and q=2)") {
+    val store = Store.temp(spark)
+    try {
+      val (sB, rB) = NormalizedSynth.binary(spark, nS = 400, nR = 3000, dS = 3, dR = 4, seed = 83,
+        withTarget = true)
+      assertPerEpoch(RRel.binary(sB), Seq(rB), NnModel.init(nh = 6, d = 7, seed = 41), dS = 3,
+        Some(store))
+      val (s, rs) = NormalizedSynth.multiway(spark, nS = 400, dS = 2,
+        specs = Seq((2000L, 3), (1500L, 4)), seed = 107, withTarget = true)
+      assertPerEpoch(s, rs, NnModel.init(nh = 5, d = 9, seed = 61), dS = 2, Some(store))
+    } finally store.close()
+  }
+
   test("loss decreases over training (F-NN learns)") {
     val init = NnModel.init(nh = 8, d = 7, seed = 53)
     val fit = FNn.train(sDf, rDf, init, epochs = 6, lr = 0.3)
@@ -161,8 +222,9 @@ class NnEquivalenceSpec extends SparkSpec {
         when(col("sid") % 97 === 0, lit(999L)).otherwise(col(orphanCol)))
       val orphans = s.where(col(orphanCol) === 999L).count()
       assert(orphans > 0)
-      val acc = FNnMulti.pass(FNnMulti.sRows(s, rs.length), RRel.collect(rs), init, dS)
-      assert(acc.orphans == orphans && acc.s.n == s.count() - orphans)
+      val acc = withBroadcast(spark.sparkContext, RRel.collect(rs))(
+        FNnMulti.pass(FNnMulti.sRows(s, rs.length), _, init, dS))
+      assert(acc.orphans == orphans && acc.sums.n == s.count() - orphans)
       assertPerEpoch(s, rs, init, dS)
     }
   }

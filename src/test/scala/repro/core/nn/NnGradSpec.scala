@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.data.NormalizedSynth
 import repro.linalg.Vec
+import repro.linalg.TestKernels._
 
 /** Finite-difference validation of the backprop implementation: the
   * gradients recovered from one epoch (via the parameter delta / lr) must

@@ -2,6 +2,7 @@ package repro.core.nn
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.linalg.{Mat, Vec}
+import repro.linalg.TestKernels._
 
 class NnModelSpec extends AnyFunSuite {
 

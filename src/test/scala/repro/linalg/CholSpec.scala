@@ -3,6 +3,7 @@ package repro.linalg
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropCheck
+import repro.linalg.TestKernels._
 
 class CholSpec extends AnyFunSuite with PropCheck {
 
