@@ -5,31 +5,35 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col}
 import repro.core.{RRel, iterate, mergePartitions, probe, withBroadcast}
-import repro.linalg.{Mat, Vec}
+import repro.linalg.{Chol, Mat, Vec}
 import scala.collection.parallel.CollectionConverters._
 
 /** Layout of the flat per-Ri precompute (paper §V-C, Eq. 19–21), one
-  * `Array[Double]` per relation. Tuple `pos` of Ri occupies `stride(i)`
-  * doubles from `pos·stride(i)`, one block per component k. With
-  * pd = x_r − μ_{Ri,k}, block k holds
-  *  - `v_k = I_{S,Ri}·pd` (dS doubles) for the S↔Ri cross term,
-  *  - `c_k = pdᵀ I_{Ri,Ri} pd`, the reused diagonal term,
-  *  - for each m < i, `t = I_{Rm,Ri}·pd` (dRm doubles) followed by `μ_{Rm,k}ᵀ t`.
-  *
-  * The Rm↔Ri cross term pd_mᵀ t is evaluated per S row as x_mᵀ t − μ_mᵀ t,
-  * reading x_m from Rm's features, which the tasks hold for the whole run,
-  * so no per-tuple pd or x_r is stored or shipped per iteration.
+  * `Array[Double]` per relation. The E-step works in the basis of the
+  * Cholesky factor L_k of Σ_k with the features ordered [R1 … Rq, S]:
+  * column `rOff(i)` is Ri's first and `dR` is S's first. Tuple `pos` of Ri
+  * occupies `stride(i)` doubles from `pos·stride(i)`, one block per
+  * component k. With pd = x_r − μ_{Ri,k} in Ri's columns, zeros elsewhere,
+  * and ζ = L_RR⁻¹ pd (zero before Ri's columns), block k holds
+  *  - `−L_SR ζ` (dS doubles), Ri's share of an S row's right-hand side,
+  *  - `‖ζ‖²`, the reused diagonal term,
+  *  - ζ from column `tail(i)` to `dR`, for the Ra↔Rb cross terms 2·ζ_a·ζ_b
+  *    (a < b), which run over Rb's columns and after. R1 is never the
+  *    later relation of a pair, so its ζ is kept from R2's first column.
   */
 private[gmm] final class PreLayout(val k: Int, val dS: Int, val dims: Array[Int]) extends Serializable {
   val q: Int = dims.length
-  /** tOff(i)(m): offset of t for Rm inside a component block of Ri; the
-    * last entry, tOff(i)(i), is the block width.
-    */
-  val tOff: Array[Array[Int]] = Array.tabulate(q)(i => dims.take(i).scanLeft(dS + 1)(_ + _ + 1))
-  val stride: Array[Int] = Array.tabulate(q)(i => k * tOff(i)(i))
+  val rOff: Array[Int] = dims.scanLeft(0)(_ + _)
+  val dR: Int = rOff(q)
+  val tail: Array[Int] = Array.tabulate(q)(i => rOff(math.max(i, 1)))
+  val width: Array[Int] = Array.tabulate(q)(i => dS + 1 + dR - tail(i))
+  val stride: Array[Int] = Array.tabulate(q)(i => k * width(i))
 
   /** Offset of component `kk`'s block of the Ri tuple at `pos`. */
-  @inline def blk(i: Int, pos: Int, kk: Int): Int = (pos * k + kk) * tOff(i)(i)
+  @inline def blk(i: Int, pos: Int, kk: Int): Int = (pos * k + kk) * width(i)
+
+  /** Offset of ζ's column `c` (≥ tail(i)) inside a block of Ri. */
+  @inline def zeta(i: Int, c: Int): Int = dS + 1 + c - tail(i)
 }
 
 /** Partition sums of the factorized multi-way S-pass, as a task returns
@@ -136,13 +140,16 @@ private[gmm] final class FGmmMultiAccum(val k: Int, val dS: Int, val dims: Array
 
 /** Algorithm F-GMM for joins S ⋈ R1 ⋈ … ⋈ Rq (paper §V-C); the binary
   * join of §V-B is the case q = 1 ([[FGmm]]). The quadratic form
-  * decomposes into (q+1)² block terms (Eq. 19); all Ri-only terms and all
-  * vectors `I_mn · PD` are precomputed once per Ri tuple, so the per-S-row
+  * decomposes into (q+1)² block terms (Eq. 19). F evaluates them with the
+  * Cholesky factor of Σ_k over the features ordered [R1 … Rq, S]: the
+  * forward substitution over R's columns is linear in pd_R, so each Ri
+  * tuple's share of it is precomputed once per tuple ([[PreLayout]]), and
+  * each S row finishes the substitution over S's dS columns. The per-S-row
   * cost no longer scales with Σ dRi².
   *
   * Each relation's features and [[RidIndex]] are broadcast once per run.
-  * Each iteration extracts the precision blocks once per component, fills
-  * one flat [[PreLayout]] array per relation on all driver cores and
+  * Each iteration factors the reordered covariances once per component,
+  * fills one flat [[PreLayout]] array per relation on all driver cores and
   * broadcasts only those; each task aggregates its S rows and finishes its
   * UR blocks, and the driver finishes Σ γ x_r and LR over chunks in
   * parallel.
@@ -162,40 +169,37 @@ object FGmmMulti {
     (finish(acc, rels.value, dS), acc.s.loglik)
   }
 
-  /** The per-Ri-tuple reusable blocks of every relation, laid out by `lay`. */
-  private def precompute(rels: Array[RRel], model: GmmModel, inv: Array[Mat],
-                         lay: PreLayout): Array[Array[Double]] = {
-    val k = lay.k; val dS = lay.dS; val dims = lay.dims; val q = lay.q
-    val offs = dims.scanLeft(dS)(_ + _) // offs(i) = start of Ri block; offs(q) = d
-    // Precision blocks, extracted once per component (not per tuple).
-    def blk(kk: Int, r0: Int, r1: Int, c: Int): Mat = inv(kk).block(r0, r1, offs(c), offs(c + 1))
-    val iSR = Array.tabulate(q, k)((i, kk) => blk(kk, 0, dS, i))
-    val iRR = Array.tabulate(q, k)((i, kk) => blk(kk, offs(i), offs(i + 1), i))
-    val iRmRi = Array.tabulate(q)(i => Array.tabulate(i, k)((m, kk) => blk(kk, offs(m), offs(m + 1), i)))
-    val muR = Array.tabulate(q, k)((i, kk) => Vec.slice(model.means(kk), offs(i), offs(i + 1)))
+  /** `model` with its features moved from the order [S, R1 … Rq] to [R1 … Rq, S]. */
+  private[gmm] def rFirst(model: GmmModel, dS: Int): GmmModel = {
+    val d = model.d
+    val perm = Array.range(dS, d) ++ Array.range(0, dS)
+    GmmModel(model.weights, model.means.map(m => perm.map(m)),
+      model.covs.map(c => new Mat(d, d, Array.tabulate(d * d)(ij => c(perm(ij / d), perm(ij % d))))))
+  }
 
-    Array.tabulate(q) { i =>
+  /** The per-Ri-tuple blocks of every relation, laid out by `lay`, from the
+    * [R1 … Rq, S]-ordered model's means `mu` and factors `chol`.
+    */
+  private[gmm] def precompute(rels: Array[RRel], mu: Array[Array[Double]], chol: Array[Chol],
+                              lay: PreLayout): Array[Array[Double]] = {
+    val k = lay.k; val dS = lay.dS; val dR = lay.dR
+    Array.tabulate(lay.q) { i =>
       val x = rels(i).x
-      val di = dims(i)
+      val di = lay.dims(i); val from = lay.rOff(i); val tail = lay.tail(i)
       val pre = new Array[Double](rels(i).n * lay.stride(i))
       rels(i).chunks.par.foreach { range =>
-        val pd = new Array[Double](di)
+        val z = new Array[Double](dR + dS)
         range.foreach { pos =>
           var kk = 0
           while (kk < k) {
-            val mu = muR(i)(kk)
+            val m = mu(kk)
             var j = 0
-            while (j < di) { pd(j) = x(pos * di + j) - mu(j); j += 1 }
+            while (j < di) { z(from + j) = x(pos * di + j) - m(from + j); j += 1 }
+            java.util.Arrays.fill(z, from + di, dR + dS, 0.0)
             val b = lay.blk(i, pos, kk)
-            iSR(i)(kk).mvInto(pd, 0, pre, b)
-            pre(b + dS) = iRR(i)(kk).quadForm(pd)
-            var m = 0
-            while (m < i) {
-              val t = b + lay.tOff(i)(m)
-              iRmRi(i)(m)(kk).mvInto(pd, 0, pre, t)
-              pre(t + dims(m)) = Vec.dot(muR(m)(kk), 0, pre, t, dims(m))
-              m += 1
-            }
+            pre(b + dS) = chol(kk).forward(z, from, dR) // ζ into z(from until dR)
+            System.arraycopy(z, dR, pre, b, dS)
+            System.arraycopy(z, tail, pre, b + dS + 1, dR - tail)
             kk += 1
           }
         }
@@ -222,14 +226,17 @@ object FGmmMulti {
     val nR = rs.map(_.n)
     require(dS >= 0 && model.d == dS + dims.sum, s"model d=${model.d} != $dS + ${dims.mkString("+")}")
     val k = model.k
-    val cache = GmmComponentCache(model)
+    val d = model.d
     val lay = new PreLayout(k, dS, dims)
-    // The tasks read only these small S-side values and the broadcasts.
+    val dR = lay.dR
+    val ordered = rFirst(model, dS)
+    val cache = GmmComponentCache(ordered)
+    // The tasks read only the factors, these small values and the broadcasts.
+    val chol = cache.chol
     val logConst = cache.logConst
-    val muS = model.means.map(Vec.slice(_, 0, dS))
-    val iSS = cache.inv.map(_.block(0, dS, 0, dS))
+    val muS = model.means.map(_.take(dS))
 
-    withBroadcast(sRows.sparkContext, precompute(rs, model, cache.inv, lay)) { preBc =>
+    withBroadcast(sRows.sparkContext, precompute(rs, ordered.means, chol, lay)) { preBc =>
       mergePartitions(sRows, new FGmmMultiAccum(k, dS, dims, nR)) { it =>
         val r = rels.value
         val x = r.map(_.x)
@@ -237,7 +244,7 @@ object FGmmMulti {
         val a = new FGmmMultiAccum(k, dS, dims, nR)
         val gamma = new Array[Double](k)
         val quad = new Array[Double](k)
-        val pds = new Array[Double](dS)
+        val z = new Array[Double](d)
         val pos = new Array[Int](q)
         it.foreach { case (fks, xs) =>
           if (!probe(r, fks, pos, xs, dS)) a.orphans += 1
@@ -246,22 +253,25 @@ object FGmmMulti {
             while (i < k) {
               val mu = muS(i)
               var j = 0
-              while (j < dS) { pds(j) = xs(j) - mu(j); j += 1 }
-              var v = iSS(i).quadForm(pds) // S diagonal term
+              while (j < dS) { z(dR + j) = xs(j) - mu(j); j += 1 }
+              var v = 0.0
               var rel = 0
               while (rel < q) {
                 val p = pre(rel)
                 val b = lay.blk(rel, pos(rel), i)
-                v += 2.0 * Vec.dot(pds, 0, p, b, dS) + p(b + dS)
+                j = 0
+                while (j < dS) { z(dR + j) += p(b + j); j += 1 }
+                v += p(b + dS)
+                val c = lay.rOff(rel)
                 var m = 0
-                while (m < rel) { // Rm ↔ Rrel cross term: (x_m − μ_m)ᵀ t
-                  val t = b + lay.tOff(rel)(m)
-                  v += 2.0 * (Vec.dot(x(m), pos(m) * dims(m), p, t, dims(m)) - p(t + dims(m)))
+                while (m < rel) { // Rm ↔ Rrel cross term, over Rrel's columns and after
+                  v += 2.0 * Vec.dot(pre(m), lay.blk(m, pos(m), i) + lay.zeta(m, c),
+                                     p, b + dS + 1, dR - c)
                   m += 1
                 }
                 rel += 1
               }
-              quad(i) = v
+              quad(i) = v + chol(i).forward(z, dR, d) // z_S = pd_S − Σ L_SR ζ_rel
               i += 1
             }
             val ll = GmmMath.responsibilities(logConst, quad, gamma)

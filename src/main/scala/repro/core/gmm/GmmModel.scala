@@ -1,6 +1,6 @@
 package repro.core.gmm
 
-import repro.linalg.{Chol, Mat, Vec}
+import repro.linalg.{Chol, Mat}
 
 /** Full-covariance Gaussian Mixture Model parameters (paper §III-A).
   *
@@ -15,14 +15,6 @@ final case class GmmModel(weights: Array[Double], means: Array[Array[Double]], c
   require(means.length == k && covs.length == k, "component count mismatch")
   require(means.forall(_.length == d) && covs.forall(c => c.rows == d && c.cols == d),
           "dimension mismatch")
-
-  def maxAbsDiff(other: GmmModel): Double = {
-    require(other.k == k && other.d == d)
-    val w = Vec.maxAbsDiff(weights, other.weights)
-    val m = (0 until k).map(i => Vec.maxAbsDiff(means(i), other.means(i))).max
-    val c = (0 until k).map(i => covs(i).maxAbsDiff(other.covs(i))).max
-    math.max(w, math.max(m, c))
-  }
 }
 
 object GmmModel {
@@ -46,12 +38,10 @@ object GmmModel {
   * with which a task evaluates (x−μ_k)ᵀ Σ_k⁻¹ (x−μ_k) = ‖L_k⁻¹(x−μ_k)‖²,
   * and the constant part of the log density, log π_k − ½(d·log 2π +
   * log|Σ_k|) (paper Eq. 1–2: feature vectors "are not directly involved" in
-  * this part). The precision matrices I_k = Σ_k⁻¹ that F-GMM splits into
-  * blocks are inverted from the same factors on first use.
+  * this part). F-GMM builds its cache from the model with its features
+  * reordered, so the same factor also gives it the paper's block terms.
   */
-final case class GmmComponentCache(chol: Array[Chol], logConst: Array[Double]) extends Serializable {
-  lazy val inv: Array[Mat] = chol.map(_.inverse)
-}
+final case class GmmComponentCache(chol: Array[Chol], logConst: Array[Double]) extends Serializable
 
 object GmmComponentCache {
   val Ridge = 1e-9 // tiny SPD regularization applied identically everywhere
@@ -81,7 +71,7 @@ object GmmMath {
     }
   }
 
-  /** Given quad(k) = (x−μ_k)ᵀ I_k (x−μ_k) and the cache's log-constants,
+  /** Given quad(k) = (x−μ_k)ᵀ Σ_k⁻¹ (x−μ_k) and the cache's log-constants,
     * fill `gamma` with responsibilities and return this point's
     * log-likelihood contribution ln Σ_k π_k N(x | μ_k, Σ_k).
     *

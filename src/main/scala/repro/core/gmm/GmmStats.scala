@@ -1,6 +1,6 @@
 package repro.core.gmm
 
-import repro.core.requireJoined
+import repro.core.{requireFinite, requireJoined}
 import repro.linalg.{Mat, Vec}
 
 /** Fused E+M sufficient statistics for one EM iteration:
@@ -50,6 +50,7 @@ final class GmmAccum(val k: Int, val d: Int) extends Serializable {
   /** M-step: turn the sums into the next model. M, S and F all end here. */
   def toModel: GmmModel = {
     requireJoined(n)
+    requireFinite(Seq(Array(loglik), nk) ++ sx ++ sxx.map(_.a): _*)
     GmmMath.requireMass(nk)
     val weights = new Array[Double](k)
     val means   = new Array[Array[Double]](k)

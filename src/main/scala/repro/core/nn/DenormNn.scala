@@ -1,7 +1,7 @@
 package repro.core.nn
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{RRel, assemble, iterate, mergePartitions, requireJoined}
+import repro.core.{RRel, assemble, iterate, mergePartitions, requireFinite, requireJoined}
 import repro.linalg.{Mat, Vec}
 
 /** Result of an NN training run: final model plus the mean-squared-error
@@ -47,6 +47,7 @@ private[nn] final class NnAccum(val nh: Int, val d: Int) extends Serializable {
     */
   def toGrads: (Double, NnGrads) = {
     requireJoined(n)
+    requireFinite(Array(sqErr, db2), db1, dW2, dW1.a)
     val inv = 1.0 / n
     (sqErr * 0.5 * inv,
      NnGrads(dW1.scaled(inv), Vec.scale(inv, db1), Vec.scale(inv, dW2), db2 * inv))

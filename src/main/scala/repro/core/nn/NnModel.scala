@@ -49,12 +49,6 @@ final case class NnModel(w1: Mat, b1: Array[Double], w2: Array[Double], b2: Doub
   val d: Int = w1.cols
   require(b1.length == nh && w2.length == nh)
 
-  def maxAbsDiff(other: NnModel): Double = {
-    require(other.nh == nh && other.d == d)
-    Seq(w1.maxAbsDiff(other.w1), Vec.maxAbsDiff(b1, other.b1),
-        Vec.maxAbsDiff(w2, other.w2), math.abs(b2 - other.b2)).max
-  }
-
   /** One gradient-descent update (full-batch epoch). */
   def step(g: NnGrads, lr: Double): NnModel = {
     val w1n = w1.copy

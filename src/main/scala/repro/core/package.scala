@@ -62,6 +62,15 @@ package object core {
   private[core] def requireJoined(n: Long): Unit =
     require(n > 0, "the join is empty: no S row has a matching tuple in every R")
 
+  /** A NaN or infinite feature in a joined row reaches every sum its row
+    * adds to, so M, S and F all stop here, on the driver, when a finished
+    * sum is not finite, instead of an M-step or a gradient step on NaN. A
+    * tuple that no S row joins is never read, as in the inner join.
+    */
+  private[core] def requireFinite(sums: Array[Double]*): Unit =
+    require(sums.forall(_.forall(java.lang.Double.isFinite)),
+      "non-finite features: a joined row has a NaN or infinite feature, so the sums over the join are not finite")
+
   /** Copy one joined row's S and R features into `x`, rejecting a row that
     * would fill it wrongly: null features, or widths that do not add up to
     * the model's d = `x.length`.

@@ -1,8 +1,7 @@
 package repro.linalg
 
 /** Cholesky factorization of a symmetric positive-definite matrix, used to
-  * evaluate GMM quadratic forms, invert covariance matrices and compute
-  * their log-determinants.
+  * evaluate GMM quadratic forms and compute log-determinants.
   *
   * `A = L Lᵀ` with L lower-triangular. Throws `IllegalArgumentException`
   * when A is not (numerically) SPD — callers regularize Σ with a ridge
@@ -10,11 +9,11 @@ package repro.linalg
   *
   * The factor is kept as Lᵀ, row-major (`ut(j·n + i) = L(i, j)` for i ≥ j,
   * zero below the diagonal), with the reciprocal pivots 1/L(j, j) in `rd`:
-  * column j of L is then the contiguous row j of `ut`, so both triangular
-  * solves run contiguous inner loops.
+  * column j of L is then the contiguous row j of `ut`, so the forward
+  * substitution runs contiguous inner loops.
   */
-final class Chol private (val n: Int, private[linalg] val ut: Array[Double], private val rd: Array[Double])
-    extends Serializable {
+final class Chol private (val n: Int, private[linalg] val ut: Array[Double],
+                          private[linalg] val rd: Array[Double]) extends Serializable {
 
   /** log|A| = 2 Σ log L(i,i). */
   def logDet: Double = {
@@ -23,10 +22,18 @@ final class Chol private (val n: Int, private[linalg] val ut: Array[Double], pri
     2.0 * s
   }
 
-  /** `z = L⁻¹ z` in place: column-oriented forward substitution. Returns ‖L⁻¹ z‖². */
-  private def forward(z: Array[Double]): Double = {
-    var s = 0.0; var j = 0
-    while (j < n) {
+  /** Columns [from, until) of the forward substitution `y = L⁻¹ z`, in place
+    * and column-oriented, taking z(0 until from) as 0: y_j is written to
+    * z(j) for j in [from, until), and z(until until n) is left holding the
+    * right-hand side the later rows still have to solve for, i.e. each
+    * z(i) less Σ_j L(i, j)·y_j. Returns Σ y_j² over the columns run.
+    *
+    * One call over [0, n) gives ‖L⁻¹ z‖²; calls over [0, m) and then
+    * [m, n) give the same y and the same sum split in two.
+    */
+  def forward(z: Array[Double], from: Int, until: Int): Double = {
+    var s = 0.0; var j = from
+    while (j < until) {
       val yj = z(j) * rd(j)
       z(j) = yj
       s += yj * yj
@@ -44,39 +51,7 @@ final class Chol private (val n: Int, private[linalg] val ut: Array[Double], pri
   def quadInv(pd: Array[Double], scratch: Array[Double]): Double = {
     require(pd.length == n && scratch.length >= n, s"quadInv: $n vs ${pd.length} / ${scratch.length}")
     System.arraycopy(pd, 0, scratch, 0, n)
-    forward(scratch)
-  }
-
-  /** Solve `A x = b` via forward + backward substitution. */
-  def solve(b: Array[Double]): Array[Double] = {
-    require(b.length == n)
-    val x = b.clone()
-    forward(x) // x = y = L⁻¹ b
-    // backward: Lᵀ x = y, reading row i of Lᵀ
-    var i = n - 1
-    while (i >= 0) {
-      var s = x(i); val off = i * n; var j = i + 1
-      while (j < n) { s -= ut(off + j) * x(j); j += 1 }
-      x(i) = s * rd(i); i -= 1
-    }
-    x
-  }
-
-  /** Dense inverse A⁻¹ (symmetric). Column-by-column solve of the identity. */
-  def inverse: Mat = {
-    val inv = Mat.zeros(n, n)
-    val e = new Array[Double](n)
-    var j = 0
-    while (j < n) {
-      e(j) = 1.0
-      val col = solve(e)
-      e(j) = 0.0
-      var i = 0
-      while (i < n) { inv(i, j) = col(i); i += 1 }
-      j += 1
-    }
-    inv.symmetrize()
-    inv
+    forward(scratch, 0, n)
   }
 }
 

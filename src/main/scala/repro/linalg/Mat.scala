@@ -1,8 +1,8 @@
 package repro.linalg
 
 /** Dense row-major matrix with the small set of kernels GMM/NN training
-  * needs: products, outer-product accumulation, block extraction, and (via
-  * [[Chol]]) SPD inverse / log-determinant.
+  * needs: matrix–vector products, outer-product accumulation and block
+  * copies ([[Chol]] factors the covariances).
   *
   * Matrices here are small (d ≤ a few hundred, nh ≤ a few hundred); the
   * large dimension (number of tuples) is handled by Spark, never
@@ -30,22 +30,6 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
       while (j < cols) { s += a(off + j) * x(xOff + j); j += 1 }
       out(outOff + i) = s; i += 1
     }
-  }
-
-  /** Quadratic form `xᵀ * this * x` (square matrices). */
-  def quadForm(x: Array[Double]): Double = bilinear(x, x)
-
-  /** Bilinear form `xᵀ * this * y` where x has `rows` entries and y `cols`. */
-  def bilinear(x: Array[Double], y: Array[Double]): Double = {
-    require(x.length == rows && y.length == cols, s"bilinear: $rows x $cols vs ${x.length}, ${y.length}")
-    var s = 0.0; var i = 0
-    while (i < rows) {
-      val xi = x(i); val off = i * cols; var j = 0
-      var ri = 0.0
-      while (j < cols) { ri += a(off + j) * y(j); j += 1 }
-      s += xi * ri; i += 1
-    }
-    s
   }
 
   def transpose: Mat = {
@@ -148,11 +132,6 @@ final class Mat(val rows: Int, val cols: Int, val a: Array[Double]) extends Seri
       i += 1
     }
   }
-
-  def maxAbsDiff(other: Mat): Double = Vec.maxAbsDiff(a, other.a)
-
-  override def toString: String =
-    (0 until rows).map(i => (0 until cols).map(j => f"${apply(i, j)}%10.4f").mkString(" ")).mkString("\n")
 }
 
 object Mat {

@@ -7,12 +7,6 @@ package repro.linalg
   */
 object Vec {
 
-  /** Dot product of `a` and `b` (lengths must match). */
-  def dot(a: Array[Double], b: Array[Double]): Double = {
-    require(a.length == b.length, s"dot: ${a.length} vs ${b.length}")
-    dot(a, 0, b, 0, a.length)
-  }
-
   /** Dot product of the slices a(aOff until aOff + n) and b(bOff until bOff + n). */
   def dot(a: Array[Double], aOff: Int, b: Array[Double], bOff: Int, n: Int): Double = {
     var s = 0.0; var i = 0
@@ -36,17 +30,5 @@ object Vec {
     var i = 0
     while (i < x.length) { out(i) = s * x(i); i += 1 }
     out
-  }
-
-  /** Slice `x(from until until)` into a fresh array. */
-  def slice(x: Array[Double], from: Int, until: Int): Array[Double] =
-    java.util.Arrays.copyOfRange(x, from, until)
-
-  /** Max |a(i) - b(i)|. */
-  def maxAbsDiff(a: Array[Double], b: Array[Double]): Double = {
-    require(a.length == b.length)
-    var m = 0.0; var i = 0
-    while (i < a.length) { m = math.max(m, math.abs(a(i) - b(i))); i += 1 }
-    m
   }
 }

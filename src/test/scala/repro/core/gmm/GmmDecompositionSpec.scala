@@ -3,6 +3,7 @@ package repro.core.gmm
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import repro.PropCheck
+import repro.core.RRel
 import repro.linalg.{Mat, Vec}
 import repro.linalg.TestKernels._
 
@@ -162,7 +163,7 @@ class GmmDecompositionSpec extends AnyFunSuite with PropCheck {
     val pds = Vec.slice(pd, 0, dS)
     val pd1 = Vec.slice(pd, dS, dS + d1)
     val pd2 = Vec.slice(pd, dS + d1, d)
-    // reusable pieces as FGmmMulti computes them
+    // reusable pieces of the blocked form, one set per tuple
     val v1 = ik.block(0, dS, dS, dS + d1).mv(pd1)
     val v2 = ik.block(0, dS, dS + d1, d).mv(pd2)
     val c1 = ik.block(dS, dS + d1, dS, dS + d1).quadForm(pd1)
@@ -171,5 +172,59 @@ class GmmDecompositionSpec extends AnyFunSuite with PropCheck {
     val fact = ik.block(0, dS, 0, dS).quadForm(pds) +
       2 * Vec.dot(pds, v1) + 2 * Vec.dot(pds, v2) + c1 + c2 + 2 * Vec.dot(pd1, t12)
     assert(math.abs(fact - ik.quadForm(pd)) < 1e-8)
+  }
+
+  test("factor basis: per-tuple blocks plus the per-row solve give (x−μ)ᵀΣ⁻¹(x−μ) (q = 1, 2, 3)") {
+    val gen = for {
+      q    <- Gen.choose(1, 3)
+      dS   <- Gen.oneOf(1, 1, 2, 3)
+      dims <- Gen.listOfN(q, Gen.choose(1, 3))
+      k    <- Gen.choose(1, 2)
+      seed <- Gen.choose(0L, 1000L)
+    } yield (dS, dims.toArray, k, seed)
+    check(gen, n = 30) { case (dS, dims, k, seed) =>
+      val rnd = new scala.util.Random(seed)
+      val d = dS + dims.sum
+      def spd(): Mat = {
+        val b = new Mat(d, d, Array.fill(d * d)(rnd.nextGaussian()))
+        val a = b.mm(b.transpose)
+        (0 until d).foreach(i => a(i, i) += 1.0)
+        a
+      }
+      val model = GmmModel(Array.fill(k)(1.0 / k), Array.fill(k)(Array.fill(d)(rnd.nextGaussian())),
+                           Array.fill(k)(spd()))
+      val nR = 3
+      val rels = RRel.all(dims.toSeq.map(di =>
+        Array.tabulate(nR)(p => (p + 1L, Array.fill(di)(rnd.nextGaussian() * 2)))))
+      val lay = new PreLayout(k, dS, dims)
+      val ordered = FGmmMulti.rFirst(model, dS)
+      val chol = GmmComponentCache(ordered).chol
+      val pre = FGmmMulti.precompute(rels, ordered.means, chol, lay)
+      val inv = GmmComponentCache(model).inv
+      val dR = lay.dR
+      (0 until 4).foreach { _ =>
+        val pos = Array.fill(dims.length)(rnd.nextInt(nR))
+        val xs = Array.fill(dS)(rnd.nextGaussian() * 2)
+        val x = Vec.concat(xs +: dims.indices.map(i =>
+          Vec.slice(rels(i).x, pos(i) * dims(i), (pos(i) + 1) * dims(i))): _*)
+        (0 until k).foreach { kk =>
+          // the S-pass's per-row arithmetic on the precomputed blocks
+          val z = new Array[Double](d)
+          (0 until dS).foreach(j => z(dR + j) = xs(j) - model.means(kk)(j))
+          var v = 0.0
+          dims.indices.foreach { b =>
+            val o = lay.blk(b, pos(b), kk)
+            (0 until dS).foreach(j => z(dR + j) += pre(b)(o + j))
+            v += pre(b)(o + dS)
+            val c = lay.rOff(b)
+            (0 until b).foreach(m => v += 2 * Vec.dot(pre(m), lay.blk(m, pos(m), kk) + lay.zeta(m, c),
+                                                     pre(b), o + dS + 1, dR - c))
+          }
+          val quad = v + chol(kk).forward(z, dR, d)
+          val direct = inv(kk).quadForm(Vec.sub(x, model.means(kk)))
+          assert(math.abs(quad - direct) <= 1e-8 * direct, s"k=$kk: $quad vs $direct")
+        }
+      }
+    }
   }
 }

@@ -5,6 +5,7 @@ import repro.SparkSpec
 import repro.core.{RRel, withBroadcast}
 import repro.core.nn.{FNn, NnModel}
 import repro.data.{NormalizedSynth, Store}
+import repro.linalg.TestKernels._
 
 /** The paper's central claim (§V-B end): M-GMM, S-GMM and F-GMM produce the
   * *same* model — the decomposition is exact. We train all three from the
@@ -120,6 +121,30 @@ class GmmEquivalenceSpec extends SparkSpec {
                      () => FGmm.train(sDf, rDf, init, iters = 1))
         .map(run => intercept[IllegalArgumentException](run()).getMessage)
       assert(msgs.distinct.size == 1 && msgs.head.contains("GMM component 2 is empty"), msgs)
+    } finally store.close()
+  }
+
+  test("non-finite features fail with one message in M, S and F; a NaN tuple no S row joins is dropped") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val init = GmmModel.init(k = 3, d = 7, seed = 5)
+      def vec(v: Double*) = array(v.map(lit): _*)
+      val nanXs = sDf.withColumn("xs",
+        when(col("sid") === 5, vec(Double.NaN, 0.0, 0.0)).otherwise(col("xs")))
+      val infXr = rDf.withColumn("xr",
+        when(col("rid") === 3, vec(Double.PositiveInfinity, 0.0, 0.0, 0.0)).otherwise(col("xr")))
+      val msgs = Seq(nanXs -> rDf, sDf -> infXr).flatMap { case (s, r) =>
+        Seq(() => MGmm.train(store, s, r, init, iters = 1),
+            () => SGmm.train(s, r, init, iters = 1),
+            () => FGmm.train(s, r, init, iters = 1))
+          .map(run => intercept[IllegalArgumentException](run()).getMessage)
+      }
+      assert(msgs.distinct.size == 1 && msgs.head.contains("non-finite features"), msgs)
+      // a tuple no S row references is never read (inner join): training succeeds
+      val nanTuple = rDf.union(
+        spark.range(999, 1000).select(col("id") as "rid", vec(Seq.fill(4)(Double.NaN): _*) as "xr"))
+      assertMultiPerIteration(RRel.binary(sDf), Seq(nanTuple), init, dS = 3, store = Some(store))
     } finally store.close()
   }
 

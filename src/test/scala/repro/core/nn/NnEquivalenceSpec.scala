@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.core.{RRel, withBroadcast}
 import repro.data.{NormalizedSynth, Store}
+import repro.linalg.TestKernels._
 
 /** The NN counterpart of the paper's exactness claim: M-NN, S-NN and F-NN
   * perform identical parameter updates every epoch (the layer-1
@@ -104,6 +105,30 @@ class NnEquivalenceSpec extends SparkSpec {
             c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains(msg)), s"$msg: $e")
         }
       }
+    } finally store.close()
+  }
+
+  test("non-finite features fail with one message in M, S and F; a NaN tuple no S row joins is dropped") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val init = NnModel.init(nh = 6, d = 7, seed = 41)
+      def vec(v: Double*) = array(v.map(lit): _*)
+      val nanXs = sDf.withColumn("xs",
+        when(col("sid") === 5, vec(Double.NaN, 0.0, 0.0)).otherwise(col("xs")))
+      val infXr = rDf.withColumn("xr",
+        when(col("rid") === 3, vec(Double.PositiveInfinity, 0.0, 0.0, 0.0)).otherwise(col("xr")))
+      val msgs = Seq(nanXs -> rDf, sDf -> infXr).flatMap { case (s, r) =>
+        Seq(() => MNn.train(store, s, r, init, epochs = 1, lr = 0.05),
+            () => SNn.train(s, r, init, epochs = 1, lr = 0.05),
+            () => FNn.train(s, r, init, epochs = 1, lr = 0.05))
+          .map(run => intercept[IllegalArgumentException](run()).getMessage)
+      }
+      assert(msgs.distinct.size == 1 && msgs.head.contains("non-finite features"), msgs)
+      // a tuple no S row references is never read (inner join): training succeeds
+      val nanTuple = rDf.union(
+        spark.range(999, 1000).select(col("id") as "rid", vec(Seq.fill(4)(Double.NaN): _*) as "xr"))
+      assertPerEpoch(RRel.binary(sDf), Seq(nanTuple), init, dS = 3, Some(store))
     } finally store.close()
   }
 

@@ -62,6 +62,24 @@ class CholSpec extends AnyFunSuite with PropCheck {
     assert(math.abs(Chol(Mat.fromRows(Seq(Seq(9.0)))).quadInv(Array(6.0), scratch) - 4.0) < 1e-15)
   }
 
+  test("forward over [0, m) then [m, n) is one full forward; from m it solves a right-hand side zero before m") {
+    check(spdGen()) { a =>
+      val c = Chol(a); val n = a.rows
+      check(Gen.zip(vecOf(n), Gen.choose(0, n)), n = 3) { case (b, m) =>
+        val full = b.clone(); val sFull = c.forward(full, 0, n)
+        val split = b.clone(); val sSplit = c.forward(split, 0, m) + c.forward(split, m, n)
+        assert(split.sameElements(full))
+        assert(math.abs(sSplit - sFull) <= 1e-12 * math.max(1.0, sFull), s"$sSplit vs $sFull")
+        val z = Array.tabulate(n)(i => if (i < m) 0.0 else b(i))
+        val y = z.clone(); val sTail = c.forward(y, m, n)
+        val direct = Vec.dot(z, c.solve(z)) // zᵀ A⁻¹ z
+        assert(math.abs(sTail - direct) <= 1e-9 * math.max(1.0, direct), s"$sTail vs $direct")
+        assert(y.take(m).forall(_ == 0.0))
+        assert(Vec.maxAbsDiff(c.lower.mv(y), z) < 1e-9) // L y = z
+      }
+    }
+  }
+
   test("inverse satisfies A A⁻¹ = I") {
     check(spdGen()) { a =>
       val inv = Chol(a).inverse
