@@ -1,5 +1,6 @@
 package repro.core.gmm
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.core.{RRel, assemble, iterate, mergePartitions}
 
@@ -22,11 +23,19 @@ object DenormGmm {
     */
   def joined(s: DataFrame, r: DataFrame): DataFrame = SGmm.joinedMulti(RRel.binary(s), Seq(r))
 
-  /** One EM iteration over T. Returns the updated model and the
-    * log-likelihood of the incoming model.
+  /** One EM iteration over T, planning T's scan for this call. Returns the
+    * updated model and the log-likelihood of the incoming model.
     */
-  def emStep(t: DataFrame, model: GmmModel): (GmmModel, Double) = {
+  def emStep(t: DataFrame, model: GmmModel): (GmmModel, Double) = step(rows(t), model)
+
+  /** T as (xs, xr) rows: a planned scan that every pass over it runs again. */
+  private[gmm] def rows(t: DataFrame): RDD[(Array[Double], Array[Double])] = {
     import t.sparkSession.implicits._
+    t.select("xs", "xr").as[(Array[Double], Array[Double])].rdd
+  }
+
+  /** One EM iteration: one pass over planned rows of T. */
+  private def step(rows: RDD[(Array[Double], Array[Double])], model: GmmModel): (GmmModel, Double) = {
     val k = model.k
     val d = model.d
     val means = model.means
@@ -35,7 +44,6 @@ object DenormGmm {
     val chol = cache.chol
     val logConst = cache.logConst
 
-    val rows = t.select("xs", "xr").as[(Array[Double], Array[Double])].rdd
     val acc = mergePartitions(rows, new GmmAccum(k, d)) { it =>
       val a = new GmmAccum(k, d)
       val gamma = new Array[Double](k)
@@ -61,9 +69,13 @@ object DenormGmm {
     (acc.toModel, acc.loglik)
   }
 
-  /** Run `iters` EM iterations (shared driver loop for M-GMM and S-GMM). */
-  def train(t: DataFrame, init: GmmModel, iters: Int): GmmFit = {
-    val (model, lls) = iterate(init, iters)(emStep(t, _))
+  /** Run `iters` EM iterations, each one pass over the rows `scan()`
+    * returns for it. M-GMM passes the rows of T it planned once, so every
+    * pass re-reads T's files; S-GMM passes a scan that plans the join
+    * again, so every pass joins again.
+    */
+  def train(scan: () => RDD[(Array[Double], Array[Double])], init: GmmModel, iters: Int): GmmFit = {
+    val (model, lls) = iterate(init, iters)(step(scan(), _))
     GmmFit(model, lls)
   }
 }

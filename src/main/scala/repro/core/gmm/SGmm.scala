@@ -19,6 +19,13 @@ object SGmm {
     */
   def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = joined(s, rs, Nil)
 
-  def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit =
-    DenormGmm.train(joinedMulti(s, rs), init, iters)
+  /** Plans the join again for every iteration. One planned RDD reused
+    * across iterations would keep its shuffle dependencies, so every pass
+    * after the first would read the first pass's shuffle files: the join
+    * would run once, not on the fly.
+    */
+  def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit = {
+    val t = joinedMulti(s, rs)
+    DenormGmm.train(() => DenormGmm.rows(t), init, iters)
+  }
 }

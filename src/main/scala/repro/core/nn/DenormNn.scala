@@ -1,5 +1,6 @@
 package repro.core.nn
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.core.{RRel, assemble, iterate, mergePartitions, requireFinite, requireJoined}
 import repro.linalg.{Mat, Vec}
@@ -83,16 +84,24 @@ object DenormNn {
   /** T(sid, xs, xr, y): the projected equi-join with the learning target. */
   def joined(s: DataFrame, r: DataFrame): DataFrame = SNn.joinedMulti(RRel.binary(s), Seq(r))
 
-  /** One full-batch epoch over T: returns (updated model, loss E of the
-    * incoming model).
+  /** One full-batch epoch over T, planning T's scan for this call: returns
+    * (updated model, loss E of the incoming model).
     */
-  def epoch(t: DataFrame, model: NnModel, lr: Double): (NnModel, Double) = {
+  def epoch(t: DataFrame, model: NnModel, lr: Double): (NnModel, Double) = step(rows(t), model, lr)
+
+  /** T as (xs, xr, y) rows: a planned scan that every pass over it runs again. */
+  private[nn] def rows(t: DataFrame): RDD[(Array[Double], Array[Double], Double)] = {
     import t.sparkSession.implicits._
+    t.select("xs", "xr", "y").as[(Array[Double], Array[Double], Double)].rdd
+  }
+
+  /** One full-batch epoch: one pass over planned rows of T. */
+  private def step(rows: RDD[(Array[Double], Array[Double], Double)], model: NnModel,
+                   lr: Double): (NnModel, Double) = {
     val nh = model.nh; val d = model.d
     val w1 = model.w1; val b1 = model.b1; val w2 = model.w2; val b2 = model.b2
     val act = model.activation
 
-    val rows = t.select("xs", "xr", "y").as[(Array[Double], Array[Double], Double)].rdd
     val acc = mergePartitions(rows, new NnAccum(nh, d)) { it =>
       val a = new NnAccum(nh, d)
       val x = new Array[Double](d) // full-width tuple as stored in T
@@ -112,9 +121,14 @@ object DenormNn {
     (model.step(grads, lr), loss)
   }
 
-  /** Run `epochs` full-batch GD epochs (shared loop for M-NN and S-NN). */
-  def train(t: DataFrame, init: NnModel, epochs: Int, lr: Double): NnFit = {
-    val (model, losses) = iterate(init, epochs)(epoch(t, _, lr))
+  /** Run `epochs` full-batch GD epochs, each one pass over the rows
+    * `scan()` returns for it. M-NN passes the rows of T it planned once, so
+    * every pass re-reads T's files; S-NN passes a scan that plans the join
+    * again, so every pass joins again.
+    */
+  def train(scan: () => RDD[(Array[Double], Array[Double], Double)], init: NnModel, epochs: Int,
+            lr: Double): NnFit = {
+    val (model, losses) = iterate(init, epochs)(step(scan(), _, lr))
     NnFit(model, losses)
   }
 }

@@ -5,7 +5,8 @@ import repro.core.RRel
 import repro.data.Store
 
 /** Algorithm M-NN: join S and R, **materialize** T on disk, train reading T
-  * back every epoch. Materialization cost is part of training.
+  * back every epoch. T's scan is planned once per run; every pass re-reads
+  * its files. Materialization cost is part of training.
   */
 object MNn {
 
@@ -15,7 +16,7 @@ object MNn {
 
   def trainMulti(store: Store, s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int,
                  lr: Double, tableName: String = "T_mnn_multi"): NnFit = {
-    val t = store.write(tableName, SNn.joinedMulti(s, rs))
-    DenormNn.train(t, init, epochs, lr)
+    val rows = DenormNn.rows(store.write(tableName, SNn.joinedMulti(s, rs)))
+    DenormNn.train(() => rows, init, epochs, lr)
   }
 }

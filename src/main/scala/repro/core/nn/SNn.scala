@@ -14,6 +14,12 @@ object SNn {
   /** Multi-way T(sid, xs, xr = [xr1 … xrq], y). */
   def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = joined(s, rs, Seq("y"))
 
-  def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit =
-    DenormNn.train(joinedMulti(s, rs), init, epochs, lr)
+  /** Plans the join again for every epoch: a planned RDD reused across
+    * epochs would read the first pass's shuffle files, so the join would
+    * run once, not on the fly (see [[SGmm.trainMulti]]).
+    */
+  def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit = {
+    val t = joinedMulti(s, rs)
+    DenormNn.train(() => DenormNn.rows(t), init, epochs, lr)
+  }
 }

@@ -16,14 +16,17 @@ final class Store(spark: SparkSession, val root: Path) {
   private def pathOf(name: String): String = root.resolve(name).toString
 
   /** Persist `df` as table `name` (overwrite). Returns the re-read frame so
-    * downstream passes scan Parquet, not the generator's lineage.
+    * downstream passes scan Parquet, not the generator's lineage. The read
+    * takes `df`'s schema instead of inferring it from the Parquet footers,
+    * which would cost a Spark job; file sources read every column as
+    * nullable, so the schema is the one [[read]] would infer.
     */
   def write(name: String, df: DataFrame): DataFrame = {
     df.write.mode(SaveMode.Overwrite).parquet(pathOf(name))
-    read(name)
+    spark.read.schema(df.schema).parquet(pathOf(name))
   }
 
-  /** Read table `name` from Parquet. */
+  /** Read table `name` from Parquet, inferring its schema from the files. */
   def read(name: String): DataFrame = spark.read.parquet(pathOf(name))
 
   /** Total on-disk size of table `name` in bytes (I/O accounting). */

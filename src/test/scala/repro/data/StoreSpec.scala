@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.sql.functions.lit
 import repro.SparkSpec
 
 class StoreSpec extends SparkSpec {
@@ -7,12 +8,24 @@ class StoreSpec extends SparkSpec {
   test("write/read round-trips a table") {
     val store = Store.temp(spark)
     try {
-      val (s, _) = NormalizedSynth.binary(spark, 200, 10, 3, 4, seed = 1)
+      val (s, r) = NormalizedSynth.binary(spark, 200, 10, 3, 4, seed = 1)
       val back = store.write("s", s)
       assert(back.count() == 200)
       assert(back.columns.toSeq == s.columns.toSeq)
       // re-read independently
       assert(store.read("s").count() == 200)
+      // write returns the schema (nullability included) and rows an
+      // independent read infers from the files; so does an empty frame,
+      // which M writes as T over an empty join before it fails on the driver
+      Seq("s" -> s, "r" -> r, "empty" -> s.where(lit(false))).foreach { case (name, df) =>
+        assert(df.schema.exists(!_.nullable), s"$name: every source column is already nullable")
+        val written = store.write(name, df)
+        val read = store.read(name)
+        assert(written.schema == read.schema, s"$name: ${written.schema} vs ${read.schema}")
+        assert(written.schema.forall(_.nullable))
+        val id = df.columns.head
+        assert(written.orderBy(id).collect().toSeq == read.orderBy(id).collect().toSeq)
+      }
     } finally store.close()
   }
 
@@ -33,10 +46,14 @@ class StoreSpec extends SparkSpec {
   test("overwrite replaces previous contents") {
     val store = Store.temp(spark)
     try {
-      val (s, _) = NormalizedSynth.binary(spark, 50, 5, 2, 2, seed = 3)
+      val (s, r) = NormalizedSynth.binary(spark, 50, 5, 2, 2, seed = 3)
       store.write("t", s)
       store.write("t", s.limit(10))
       assert(store.read("t").count() == 10)
+      // a different schema: write returns the new one
+      val back = store.write("t", r)
+      assert(back.schema == store.read("t").schema)
+      assert(back.columns.toSeq == r.columns.toSeq && back.count() == 5)
     } finally store.close()
   }
 
