@@ -2,7 +2,8 @@ package repro.core.gmm
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import repro.core.{RRel, assemble, iterate, mergePartitions}
+import org.apache.spark.sql.catalyst.InternalRow
+import repro.core.{RRel, assemble, features, iterate, mergePartitions, scan}
 
 /** Result of a GMM training run: final model plus the log-likelihood of the
   * model *entering* each iteration (so logliks(0) scores the init).
@@ -28,14 +29,11 @@ object DenormGmm {
     */
   def emStep(t: DataFrame, model: GmmModel): (GmmModel, Double) = step(rows(t), model)
 
-  /** T as (xs, xr) rows: a planned scan that every pass over it runs again. */
-  private[gmm] def rows(t: DataFrame): RDD[(Array[Double], Array[Double])] = {
-    import t.sparkSession.implicits._
-    t.select("xs", "xr").as[(Array[Double], Array[Double])].rdd
-  }
+  /** T's (xs, xr) rows: a planned scan that every pass over it runs again. */
+  private[gmm] def rows(t: DataFrame): RDD[InternalRow] = scan(t, features("xs"), features("xr"))
 
   /** One EM iteration: one pass over planned rows of T. */
-  private def step(rows: RDD[(Array[Double], Array[Double])], model: GmmModel): (GmmModel, Double) = {
+  private def step(rows: RDD[InternalRow], model: GmmModel): (GmmModel, Double) = {
     val k = model.k
     val d = model.d
     val means = model.means
@@ -51,8 +49,8 @@ object DenormGmm {
       val x = new Array[Double](d) // full-width tuple, as materialized in T
       val pd = new Array[Double](d)
       val z = new Array[Double](d)
-      it.foreach { case (xs, xr) =>
-        assemble(xs, xr, x)
+      it.foreach { row =>
+        assemble(row, x)
         var i = 0
         while (i < k) {
           val mu = means(i)
@@ -74,7 +72,7 @@ object DenormGmm {
     * pass re-reads T's files; S-GMM passes a scan that plans the join
     * again, so every pass joins again.
     */
-  def train(scan: () => RDD[(Array[Double], Array[Double])], init: GmmModel, iters: Int): GmmFit = {
+  def train(scan: () => RDD[InternalRow], init: GmmModel, iters: Int): GmmFit = {
     val (model, lls) = iterate(init, iters)(step(scan(), _))
     GmmFit(model, lls)
   }

@@ -3,8 +3,8 @@ package repro.core.gmm
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{array, col}
-import repro.core.{RRel, iterate, mergePartitions, probe, withBroadcast}
+import org.apache.spark.sql.catalyst.InternalRow
+import repro.core.{RRel, features, iterate, key, mergePartitions, probe, scan, withBroadcast}
 import repro.linalg.{Chol, Mat, Vec}
 import scala.collection.parallel.CollectionConverters._
 
@@ -163,7 +163,7 @@ object FGmmMulti {
     withBroadcast(s.sparkSession.sparkContext, rels)(step(sRows(s, rels.length), _, model, dS))
   }
 
-  private def step(sRows: RDD[(Array[Long], Array[Double])], rels: Broadcast[Array[RRel]],
+  private def step(sRows: RDD[InternalRow], rels: Broadcast[Array[RRel]],
                    model: GmmModel, dS: Int): (GmmModel, Double) = {
     val acc = pass(sRows, rels, model, dS)
     (finish(acc, rels.value, dS), acc.s.loglik)
@@ -208,17 +208,14 @@ object FGmmMulti {
     }
   }
 
-  /** S as (FKs, xs) rows, reading the FKs into R1 … Rq from `fk1 … fkq`:
-    * planned once, scanned again by every pass.
+  /** S's (fk1 … fkq, xs) rows, the FKs into R1 … Rq: planned once,
+    * scanned again by every pass.
     */
-  private[gmm] def sRows(s: DataFrame, q: Int): RDD[(Array[Long], Array[Double])] = {
-    import s.sparkSession.implicits._
-    s.select(array(RRel.fkCols(q).map(col): _*) as "fks", col("xs"))
-      .as[(Array[Long], Array[Double])].rdd
-  }
+  private[gmm] def sRows(s: DataFrame, q: Int): RDD[InternalRow] =
+    scan(s, RRel.fkCols(q).map(key) :+ features("xs"): _*)
 
   /** E-step and S-side sums: one aggregation pass over S only. */
-  private[gmm] def pass(sRows: RDD[(Array[Long], Array[Double])], rels: Broadcast[Array[RRel]],
+  private[gmm] def pass(sRows: RDD[InternalRow], rels: Broadcast[Array[RRel]],
                         model: GmmModel, dS: Int): FGmmMultiAccum = {
     val rs = rels.value
     val q = rs.length
@@ -246,8 +243,9 @@ object FGmmMulti {
         val quad = new Array[Double](k)
         val z = new Array[Double](d)
         val pos = new Array[Int](q)
-        it.foreach { case (fks, xs) =>
-          if (!probe(r, fks, pos, xs, dS)) a.orphans += 1
+        val xs = new Array[Double](dS)
+        it.foreach { row =>
+          if (!probe(r, row, pos, xs)) a.orphans += 1
           else {
             var i = 0
             while (i < k) {
@@ -342,13 +340,12 @@ object FGmmMulti {
     full.toModel
   }
 
-  /** Collect, check and index each Ri once, broadcast it once, then run
-    * `iters` factorized EM iterations.
+  /** Read, check and index each Ri once while S's scan is planned,
+    * broadcast it once, then run `iters` factorized EM iterations.
     */
   def train(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit = {
-    val rels = RRel.collect(rs)
+    val (rels, rows) = RRel.collect(rs)(sRows(s, rs.length))
     val dS = init.d - rels.map(_.width).sum
-    val rows = sRows(s, rels.length)
     val (model, lls) = withBroadcast(s.sparkSession.sparkContext, rels) { bc =>
       iterate(init, iters)(step(rows, bc, _, dS))
     }

@@ -2,7 +2,8 @@ package repro.core.nn
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import repro.core.{RRel, assemble, iterate, mergePartitions, requireFinite, requireJoined}
+import org.apache.spark.sql.catalyst.InternalRow
+import repro.core.{RRel, assemble, features, iterate, mergePartitions, requireFinite, requireJoined, scan, target, targetCol}
 import repro.linalg.{Mat, Vec}
 
 /** Result of an NN training run: final model plus the mean-squared-error
@@ -89,15 +90,12 @@ object DenormNn {
     */
   def epoch(t: DataFrame, model: NnModel, lr: Double): (NnModel, Double) = step(rows(t), model, lr)
 
-  /** T as (xs, xr, y) rows: a planned scan that every pass over it runs again. */
-  private[nn] def rows(t: DataFrame): RDD[(Array[Double], Array[Double], Double)] = {
-    import t.sparkSession.implicits._
-    t.select("xs", "xr", "y").as[(Array[Double], Array[Double], Double)].rdd
-  }
+  /** T's (xs, xr, y) rows: a planned scan that every pass over it runs again. */
+  private[nn] def rows(t: DataFrame): RDD[InternalRow] =
+    scan(t, features("xs"), features("xr"), targetCol)
 
   /** One full-batch epoch: one pass over planned rows of T. */
-  private def step(rows: RDD[(Array[Double], Array[Double], Double)], model: NnModel,
-                   lr: Double): (NnModel, Double) = {
+  private def step(rows: RDD[InternalRow], model: NnModel, lr: Double): (NnModel, Double) = {
     val nh = model.nh; val d = model.d
     val w1 = model.w1; val b1 = model.b1; val w2 = model.w2; val b2 = model.b2
     val act = model.activation
@@ -108,12 +106,12 @@ object DenormNn {
       val pre = new Array[Double](nh)
       val h = new Array[Double](nh)
       val delta = new Array[Double](nh)
-      it.foreach { case (xs, xr, y) =>
-        assemble(xs, xr, x)
+      it.foreach { row =>
+        assemble(row, x)
         // forward: a_j = Σ_i w1_ji x_i + b1_j (paper §VI-A1, undecomposed)
         w1.mvInto(x, 0, pre, 0)
         Vec.addInPlace(pre, b1)
-        a.add(x, NnAccum.backprop(pre, y, w2, b2, act, h, delta), h, delta)
+        a.add(x, NnAccum.backprop(pre, target(row, 2), w2, b2, act, h, delta), h, delta)
       }
       a
     }(_.merge(_))
@@ -126,8 +124,7 @@ object DenormNn {
     * every pass re-reads T's files; S-NN passes a scan that plans the join
     * again, so every pass joins again.
     */
-  def train(scan: () => RDD[(Array[Double], Array[Double], Double)], init: NnModel, epochs: Int,
-            lr: Double): NnFit = {
+  def train(scan: () => RDD[InternalRow], init: NnModel, epochs: Int, lr: Double): NnFit = {
     val (model, losses) = iterate(init, epochs)(step(scan(), _, lr))
     NnFit(model, losses)
   }

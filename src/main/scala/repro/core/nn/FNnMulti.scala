@@ -3,8 +3,8 @@ package repro.core.nn
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{array, col}
-import repro.core.{RRel, iterate, mergePartitions, probe, withBroadcast}
+import org.apache.spark.sql.catalyst.InternalRow
+import repro.core.{RRel, features, iterate, key, mergePartitions, probe, scan, target, targetCol, withBroadcast}
 import repro.linalg.Vec
 import scala.collection.parallel.CollectionConverters._
 
@@ -101,20 +101,17 @@ object FNnMulti {
     withBroadcast(s.sparkSession.sparkContext, rels)(step(sRows(s, rels.length), _, model, lr, dS))
   }
 
-  private def step(sRows: RDD[(Array[Long], Array[Double], Double)], rels: Broadcast[Array[RRel]],
+  private def step(sRows: RDD[InternalRow], rels: Broadcast[Array[RRel]],
                    model: NnModel, lr: Double, dS: Int): (NnModel, Double) = {
     val (loss, grads) = pass(sRows, rels, model, dS).sums.toGrads
     (model.step(grads, lr), loss)
   }
 
-  /** S as (FKs, xs, y) rows, reading the FKs into R1 … Rq from
-    * `fk1 … fkq`: planned once, scanned again by every pass.
+  /** S's (fk1 … fkq, xs, y) rows, the FKs into R1 … Rq: planned once,
+    * scanned again by every pass.
     */
-  private[nn] def sRows(s: DataFrame, q: Int): RDD[(Array[Long], Array[Double], Double)] = {
-    import s.sparkSession.implicits._
-    s.select(array(RRel.fkCols(q).map(col): _*) as "fks", col("xs"), col("y"))
-      .as[(Array[Long], Array[Double], Double)].rdd
-  }
+  private[nn] def sRows(s: DataFrame, q: Int): RDD[InternalRow] =
+    scan(s, RRel.fkCols(q).map(key) ++ Seq(features("xs"), targetCol): _*)
 
   /** `W1_Ri x_r` for every Ri tuple: nh doubles from `pos·nh` per tuple. */
   private def precompute(rels: Array[RRel], model: NnModel, dS: Int): Array[Array[Double]] = {
@@ -131,7 +128,7 @@ object FNnMulti {
   }
 
   /** Forward and backward over S only, with W1_Ri x_r precomputed per Ri tuple. */
-  private[nn] def pass(sRows: RDD[(Array[Long], Array[Double], Double)], rels: Broadcast[Array[RRel]],
+  private[nn] def pass(sRows: RDD[InternalRow], rels: Broadcast[Array[RRel]],
                        model: NnModel, dS: Int): FNnMultiAccum = {
     val rs = rels.value
     val q = rs.length
@@ -153,8 +150,9 @@ object FNnMulti {
         val h = new Array[Double](nh)
         val delta = new Array[Double](nh)
         val pos = new Array[Int](q)
-        it.foreach { case (fks, xs, y) =>
-          if (!probe(r, fks, pos, xs, dS)) a.orphans += 1
+        val xs = new Array[Double](dS)
+        it.foreach { row =>
+          if (!probe(r, row, pos, xs)) a.orphans += 1
           else {
             w1S.mvInto(xs, 0, preAct, 0) // nh·dS instead of nh·d
             Vec.addInPlace(preAct, b1)
@@ -166,7 +164,7 @@ object FNnMulti {
               while (j < nh) { preAct(j) += p(base + j); j += 1 }
               rel += 1
             }
-            a.add(pos, xs, NnAccum.backprop(preAct, y, w2, b2, act, h, delta), h, delta)
+            a.add(pos, xs, NnAccum.backprop(preAct, target(row, q + 1), w2, b2, act, h, delta), h, delta)
           }
         }
         a.seal(r.map(_.x))
@@ -174,13 +172,12 @@ object FNnMulti {
     }
   }
 
-  /** Collect, check and index each Ri once, broadcast it once, then run
-    * `epochs` factorized epochs.
+  /** Read, check and index each Ri once while S's scan is planned,
+    * broadcast it once, then run `epochs` factorized epochs.
     */
   def train(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit = {
-    val rels = RRel.collect(rs)
+    val (rels, rows) = RRel.collect(rs)(sRows(s, rs.length))
     val dS = init.d - rels.map(_.width).sum
-    val rows = sRows(s, rels.length)
     val (model, losses) = withBroadcast(s.sparkSession.sparkContext, rels) { bc =>
       iterate(init, epochs)(step(rows, bc, _, lr, dS))
     }

@@ -3,8 +3,11 @@ package repro
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.util.ArrayData
 import org.apache.spark.sql.functions.{col, concat}
+import org.apache.spark.sql.types.{ArrayType, DoubleType, LongType}
 import scala.reflect.ClassTag
 
 package object core {
@@ -71,33 +74,96 @@ package object core {
     require(sums.forall(_.forall(java.lang.Double.isFinite)),
       "non-finite features: a joined row has a NaN or infinite feature, so the sums over the join are not finite")
 
-  /** Copy one joined row's S and R features into `x`, rejecting a row that
-    * would fill it wrongly: null features, or widths that do not add up to
-    * the model's d = `x.length`.
+  /** A planned scan of `df`'s columns `cols` as Spark's internal rows. A
+    * task reads each field in place into its own scratch, with no encoder
+    * and no per-row objects. Spark reuses one row object for every row of a
+    * task, so a reader reads a row's fields while it is at that row and
+    * keeps no row and no array of one.
     */
-  private[core] def assemble(xs: Array[Double], xr: Array[Double], x: Array[Double]): Unit = {
-    require(xs != null && xr != null && xs.length + xr.length == x.length,
-      s"joined row has ${width(xs)} + ${width(xr)} features, expected ${x.length}")
-    System.arraycopy(xs, 0, x, 0, xs.length)
-    System.arraycopy(xr, 0, x, xs.length, xr.length)
+  private[core] def scan(df: DataFrame, cols: Column*): RDD[InternalRow] =
+    df.select(cols: _*).queryExecution.toRdd
+
+  /** `name` as a scanned FK or rid column: a long. The scans cast each
+    * column to the type its reader reads, as the encoders upcast it (an int
+    * FK reads as a long); Spark drops a cast to a column's own type.
+    */
+  private[core] def key(name: String): Column = col(name).cast(LongType)
+
+  /** `name` as a scanned feature column: an array of doubles. */
+  private[core] def features(name: String): Column = col(name).cast(ArrayType(DoubleType))
+
+  /** The target column `y` as scanned: a double. */
+  private[core] def targetCol: Column = col("y").cast(DoubleType)
+
+  /** The target `y` of the row, at field `i`. Spark reads a null as 0.0, so
+    * it is rejected here, as in M, S and F alike.
+    */
+  private[core] def target(row: InternalRow, i: Int): Double = {
+    if (row.isNullAt(i)) nullIn("y")
+    row.getDouble(i)
   }
 
-  /** Look up an S row of a factorized pass in every relation: fill `pos`
-    * with its tuple's position in each Ri and return true, or return false
-    * for an orphan row, one whose FK has no Ri tuple (the inner join drops
-    * it). A joined row whose features are null or not `dS` wide is rejected.
+  /** Copy one joined row's S and R features, fields 0 (`xs`) and 1 (`xr`),
+    * into `x`, rejecting a row that would fill it wrongly: null features,
+    * widths that do not add up to the model's d = `x.length`, or a null
+    * feature element.
     */
-  private[core] def probe(rels: Array[RRel], fks: Array[Long], pos: Array[Int],
-                          xs: Array[Double], dS: Int): Boolean = {
+  private[core] def assemble(row: InternalRow, x: Array[Double]): Unit = {
+    val xs = array(row, 0)
+    val xr = array(row, 1)
+    require(xs != null && xr != null && xs.numElements() + xr.numElements() == x.length,
+      s"joined row has ${width(xs)} + ${width(xr)} features, expected ${x.length}")
+    copy(xs, "xs", x, 0)
+    copy(xr, "xr", x, xs.numElements())
+  }
+
+  /** Look up an S row of a factorized pass, fields `fk1 … fkq` then `xs`,
+    * in every relation: fill `pos` with its tuple's position in each Ri,
+    * copy its features into `xs` and return true, or return false for an
+    * orphan row, one whose FK is null or has no Ri tuple (the inner join
+    * drops it). A joined row is rejected as M and S reject it: features
+    * that are null or not `xs.length` wide, or a null feature element in
+    * `xs` or in a joined Ri tuple.
+    */
+  private[core] def probe(rels: Array[RRel], row: InternalRow, pos: Array[Int], xs: Array[Double]): Boolean = {
+    val q = pos.length
+    var nullR = false
     var rel = 0
-    while (rel < pos.length) {
-      pos(rel) = rels(rel).index(fks(rel))
-      if (pos(rel) < 0) return false
+    while (rel < q) {
+      if (row.isNullAt(rel)) return false
+      val p = rels(rel).index(row.getLong(rel))
+      if (p == RidIndex.Missing) return false
+      nullR |= p < 0 // a tuple with a null feature ([[RRel.apply]])
+      pos(rel) = p
       rel += 1
     }
-    require(xs != null && xs.length == dS, s"S row has ${width(xs)} features, expected $dS")
+    val a = array(row, q)
+    require(a != null && a.numElements() == xs.length, s"S row has ${width(a)} features, expected ${xs.length}")
+    copy(a, "xs", xs, 0)
+    if (nullR) nullIn("xr")
     true
   }
 
-  private def width(x: Array[Double]): String = if (x == null) "null" else x.length.toString
+  /** Reject a joined row with a null feature element or target in column
+    * `name`: M, S and F all stop with this message.
+    */
+  private def nullIn(name: String): Nothing =
+    throw new IllegalArgumentException(s"null value in column $name of a joined row")
+
+  private def array(row: InternalRow, i: Int): ArrayData = if (row.isNullAt(i)) null else row.getArray(i)
+
+  /** Copy the doubles of `a` into `x` from `off`. Spark reads a null element
+    * as 0.0, so it is rejected here, naming column `name`.
+    */
+  private def copy(a: ArrayData, name: String, x: Array[Double], off: Int): Unit = {
+    val n = a.numElements()
+    var j = 0
+    while (j < n) {
+      if (a.isNullAt(j)) nullIn(name)
+      x(off + j) = a.getDouble(j)
+      j += 1
+    }
+  }
+
+  private def width(a: ArrayData): String = if (a == null) "null" else a.numElements().toString
 }

@@ -41,6 +41,34 @@ class GmmEquivalenceSpec extends SparkSpec {
     }
   }
 
+  /** M-GMM over T materialized in `store`, S-GMM and F-GMM, each trained
+    * for 1 … `iters` iterations from `init` through `train`, agree after
+    * every iteration. This path reads R as the trainers do, so it covers R
+    * rows that cannot be collected as (rid, xr) tuples: null rids and null
+    * feature elements.
+    */
+  private def assertTrainPerIteration(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, store: Store,
+                                      iters: Int = 2): Unit =
+    (1 to iters).foreach { n =>
+      val fitF = FGmmMulti.train(s, rs, init, n)
+      Seq(MGmm.trainMulti(store, s, rs, init, n), SGmm.trainMulti(s, rs, init, n)).foreach { fit =>
+        fit.logliks.zip(fitF.logliks).foreach { case (a, b) =>
+          assert(math.abs(a - b) / math.abs(a) < Tol, s"iter $n loglik: $a vs $b")
+        }
+        assert(fit.model.maxAbsDiff(fitF.model) < Tol, s"iter $n params diverged")
+      }
+    }
+
+  /** Every run fails with an IllegalArgumentException carrying `msg`,
+    * found through the cause chain: a task's failure reaches the driver
+    * wrapped in Spark's own exception.
+    */
+  private def assertFailsWith(msg: String, runs: (() => Any)*): Unit = runs.foreach { run =>
+    val e = intercept[Exception](run())
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(c =>
+      c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains(msg)), s"$msg: $e")
+  }
+
   private lazy val (sDf, rDf) =
     NormalizedSynth.binary(spark, nS = 3000, nR = 30, dS = 3, dR = 4, seed = 77, k = 3)
 
@@ -67,7 +95,7 @@ class GmmEquivalenceSpec extends SparkSpec {
     val orphans = s.where(col("fk") === 999L).count()
     assert(orphans > 0)
     val init = GmmModel.init(k = 3, d = 7, seed = 5)
-    val acc = withBroadcast(spark.sparkContext, RRel.collect(Seq(rDf)))(
+    val acc = withBroadcast(spark.sparkContext, RRel.collect(Seq(rDf))(())._1)(
       FGmmMulti.pass(FGmmMulti.sRows(RRel.binary(s), 1), _, init, dS = 3))
     assert(acc.orphans == orphans && acc.s.n == 3000 - orphans)
     assertMultiPerIteration(RRel.binary(s), Seq(rDf), init, dS = 3)
@@ -224,6 +252,58 @@ class GmmEquivalenceSpec extends SparkSpec {
         specs = Seq((2000L, 3), (1500L, 4)), seed = 41, k = 3)
       assertMultiPerIteration(s, rs, GmmModel.init(k = 3, d = 9, seed = 10), dS = 2,
         store = Some(store))
+    } finally store.close()
+  }
+
+  test("a null FK is dropped like the inner join: M, S and F agree per iteration (binary and q=2)") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      // a tuple with rid 0, which no FK references: a null FK must not read as 0
+      def withRid0(r: DataFrame, dR: Int) =
+        r.union(spark.range(0, 1).select(col("id") as "rid", array(Seq.fill(dR)(lit(0.5)): _*) as "xr"))
+      val s = sDf.withColumn("fk", when(col("sid") === 5, lit(null).cast("long")).otherwise(col("fk")))
+      val r = withRid0(rDf, 4)
+      val init = GmmModel.init(k = 3, d = 7, seed = 5)
+      val acc = withBroadcast(spark.sparkContext, RRel.collect(Seq(r))(())._1)(
+        FGmmMulti.pass(FGmmMulti.sRows(RRel.binary(s), 1), _, init, dS = 3))
+      assert(acc.orphans == 1 && acc.s.n == 2999)
+      assertTrainPerIteration(RRel.binary(s), Seq(r), init, store)
+      val (sM0, rsM) = NormalizedSynth.multiway(spark, nS = 1500, dS = 2,
+        specs = Seq((20L, 3), (15L, 4)), seed = 31, k = 3)
+      val sM = sM0.withColumn("fk2", when(col("sid") % 97 === 0, lit(null).cast("long")).otherwise(col("fk2")))
+      assertTrainPerIteration(sM, Seq(rsM(0), withRid0(rsM(1), 4)), GmmModel.init(k = 3, d = 9, seed = 10), store)
+    } finally store.close()
+  }
+
+  test("an R tuple with a null rid joins no S row: M, S and F agree per iteration") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      // two of them, so that rids read as 0 would collide
+      val r = rDf.withColumn("rid", when(col("rid") < 3, lit(null).cast("long")).otherwise(col("rid")))
+      assertTrainPerIteration(RRel.binary(sDf), Seq(r), GmmModel.init(k = 3, d = 7, seed = 5), store)
+    } finally store.close()
+  }
+
+  test("a null feature element fails with one message in M, S and F; a tuple no S row joins is dropped") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val init = GmmModel.init(k = 3, d = 7, seed = 5)
+      val nul = lit(null).cast("double")
+      val nullXs = sDf.withColumn("xs",
+        when(col("sid") === 5, array(lit(1.0), nul, lit(0.0))).otherwise(col("xs")))
+      val nullXr = rDf.withColumn("xr",
+        when(col("rid") === 3, array(lit(1.0), lit(2.0), nul, lit(0.0))).otherwise(col("xr")))
+      Seq((nullXs, rDf, "null value in column xs"), (sDf, nullXr, "null value in column xr")).foreach {
+        case (s, r, msg) =>
+          assertFailsWith(msg, () => MGmm.train(store, s, r, init, iters = 1),
+            () => SGmm.train(s, r, init, iters = 1), () => FGmm.train(s, r, init, iters = 1))
+      }
+      val unjoined = rDf.union(spark.range(999, 1000).select(col("id") as "rid",
+        array(lit(1.0), nul, lit(0.0), lit(0.0)) as "xr"))
+      assertTrainPerIteration(RRel.binary(sDf), Seq(unjoined), init, store)
     } finally store.close()
   }
 

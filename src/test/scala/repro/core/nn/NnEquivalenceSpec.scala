@@ -40,6 +40,31 @@ class NnEquivalenceSpec extends SparkSpec {
     }
   }
 
+  /** M-NN over T materialized in `store`, S-NN and F-NN, each trained for
+    * 1 and 2 epochs from `init` through `train`, agree after every epoch.
+    * This path reads R as the trainers do, so it covers R rows that cannot
+    * be collected as (rid, xr) tuples: null rids and null feature elements.
+    */
+  private def assertTrainPerEpoch(s: DataFrame, rs: Seq[DataFrame], init: NnModel, store: Store): Unit =
+    (1 to 2).foreach { n =>
+      val fitF = FNnMulti.train(s, rs, init, n, lr = 0.05)
+      Seq(MNn.trainMulti(store, s, rs, init, n, lr = 0.05), SNn.trainMulti(s, rs, init, n, lr = 0.05)).foreach {
+        fit =>
+          fit.losses.zip(fitF.losses).foreach { case (a, b) => assert(math.abs(a - b) < 1e-10, s"epoch $n loss: $a vs $b") }
+          assert(fit.model.maxAbsDiff(fitF.model) < Tol, s"epoch $n params diverged")
+      }
+    }
+
+  /** Every run fails with an IllegalArgumentException carrying `msg`,
+    * found through the cause chain: a task's failure reaches the driver
+    * wrapped in Spark's own exception.
+    */
+  private def assertFailsWith(msg: String, runs: (() => Any)*): Unit = runs.foreach { run =>
+    val e = intercept[Exception](run())
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(c =>
+      c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains(msg)), s"$msg: $e")
+  }
+
   private lazy val (sDf, rDf) =
     NormalizedSynth.binary(spark, nS = 2500, nR = 25, dS = 3, dR = 4, seed = 91,
       withTarget = true)
@@ -208,6 +233,59 @@ class NnEquivalenceSpec extends SparkSpec {
     } finally store.close()
   }
 
+  test("a null FK is dropped like the inner join: M, S and F agree per epoch (binary and q=2)") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      // a tuple with rid 0, which no FK references: a null FK must not read as 0
+      def withRid0(r: DataFrame, dR: Int) =
+        r.union(spark.range(0, 1).select(col("id") as "rid", array(Seq.fill(dR)(lit(0.5)): _*) as "xr"))
+      val s = sDf.withColumn("fk", when(col("sid") === 5, lit(null).cast("long")).otherwise(col("fk")))
+      val r = withRid0(rDf, 4)
+      val init = NnModel.init(nh = 6, d = 7, seed = 41)
+      val acc = withBroadcast(spark.sparkContext, RRel.collect(Seq(r))(())._1)(
+        FNnMulti.pass(FNnMulti.sRows(RRel.binary(s), 1), _, init, dS = 3))
+      assert(acc.orphans == 1 && acc.sums.n == 2499)
+      assertTrainPerEpoch(RRel.binary(s), Seq(r), init, store)
+      val (sM0, rsM) = NormalizedSynth.multiway(spark, nS = 1500, dS = 2,
+        specs = Seq((18L, 3), (12L, 4)), seed = 101, withTarget = true)
+      val sM = sM0.withColumn("fk2", when(col("sid") % 97 === 0, lit(null).cast("long")).otherwise(col("fk2")))
+      assertTrainPerEpoch(sM, Seq(rsM(0), withRid0(rsM(1), 4)), NnModel.init(nh = 5, d = 9, seed = 61), store)
+    } finally store.close()
+  }
+
+  test("an R tuple with a null rid joins no S row: M, S and F agree per epoch") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      // two of them, so that rids read as 0 would collide
+      val r = rDf.withColumn("rid", when(col("rid") < 3, lit(null).cast("long")).otherwise(col("rid")))
+      assertTrainPerEpoch(RRel.binary(sDf), Seq(r), NnModel.init(nh = 6, d = 7, seed = 41), store)
+    } finally store.close()
+  }
+
+  test("a null target or feature element fails with one message in M, S and F; a tuple no S row joins is dropped") {
+    import org.apache.spark.sql.functions._
+    val store = Store.temp(spark)
+    try {
+      val init = NnModel.init(nh = 6, d = 7, seed = 41)
+      val nul = lit(null).cast("double")
+      val nullY = sDf.withColumn("y", when(col("sid") === 5, nul).otherwise(col("y")))
+      val nullXs = sDf.withColumn("xs",
+        when(col("sid") === 5, array(lit(1.0), nul, lit(0.0))).otherwise(col("xs")))
+      val nullXr = rDf.withColumn("xr",
+        when(col("rid") === 3, array(lit(1.0), lit(2.0), nul, lit(0.0))).otherwise(col("xr")))
+      Seq((nullY, rDf, "null value in column y"), (nullXs, rDf, "null value in column xs"),
+          (sDf, nullXr, "null value in column xr")).foreach { case (s, r, msg) =>
+        assertFailsWith(msg, () => MNn.train(store, s, r, init, epochs = 1, lr = 0.05),
+          () => SNn.train(s, r, init, epochs = 1, lr = 0.05), () => FNn.train(s, r, init, epochs = 1, lr = 0.05))
+      }
+      val unjoined = rDf.union(spark.range(999, 1000).select(col("id") as "rid",
+        array(lit(1.0), nul, lit(0.0), lit(0.0)) as "xr"))
+      assertTrainPerEpoch(RRel.binary(sDf), Seq(unjoined), init, store)
+    } finally store.close()
+  }
+
   test("loss decreases over training (F-NN learns)") {
     val init = NnModel.init(nh = 8, d = 7, seed = 53)
     val fit = FNn.train(sDf, rDf, init, epochs = 6, lr = 0.3)
@@ -247,7 +325,7 @@ class NnEquivalenceSpec extends SparkSpec {
         when(col("sid") % 97 === 0, lit(999L)).otherwise(col(orphanCol)))
       val orphans = s.where(col(orphanCol) === 999L).count()
       assert(orphans > 0)
-      val acc = withBroadcast(spark.sparkContext, RRel.collect(rs))(
+      val acc = withBroadcast(spark.sparkContext, RRel.collect(rs)(())._1)(
         FNnMulti.pass(FNnMulti.sRows(s, rs.length), _, init, dS))
       assert(acc.orphans == orphans && acc.sums.n == s.count() - orphans)
       assertPerEpoch(s, rs, init, dS)
