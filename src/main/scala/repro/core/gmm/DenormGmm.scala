@@ -3,7 +3,7 @@ package repro.core.gmm
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import repro.core.{RRel, assemble, features, iterate, mergePartitions, scan}
+import repro.core.{RRel, assemble, features, iterate, mergePartitions, scan, scans}
 
 /** Result of a GMM training run: final model plus the log-likelihood of the
   * model *entering* each iteration (so logliks(0) scores the init).
@@ -29,8 +29,16 @@ object DenormGmm {
     */
   def emStep(t: DataFrame, model: GmmModel): (GmmModel, Double) = step(rows(t), model)
 
+  /** The columns of T a pass reads. */
+  private def cols = Seq(features("xs"), features("xr"))
+
   /** T's (xs, xr) rows: a planned scan that every pass over it runs again. */
-  private[gmm] def rows(t: DataFrame): RDD[InternalRow] = scan(t, features("xs"), features("xr"))
+  private[gmm] def rows(t: DataFrame): RDD[InternalRow] = scan(t, cols: _*)
+
+  /** T's (xs, xr) rows planned once, for passes that each compute T again:
+    * every call's rows read T's inputs and run its joins again.
+    */
+  private[gmm] def joins(t: DataFrame): () => RDD[InternalRow] = scans(t, cols: _*)
 
   /** One EM iteration: one pass over planned rows of T. */
   private def step(rows: RDD[InternalRow], model: GmmModel): (GmmModel, Double) = {
@@ -69,8 +77,8 @@ object DenormGmm {
 
   /** Run `iters` EM iterations, each one pass over the rows `scan()`
     * returns for it. M-GMM passes the rows of T it planned once, so every
-    * pass re-reads T's files; S-GMM passes a scan that plans the join
-    * again, so every pass joins again.
+    * pass re-reads T's files; S-GMM passes [[joins]] of the join it planned
+    * once, so every pass reads S and R and joins them again.
     */
   def train(scan: () => RDD[InternalRow], init: GmmModel, iters: Int): GmmFit = {
     val (model, lls) = iterate(init, iters)(step(scan(), _))

@@ -4,9 +4,9 @@ import org.apache.spark.sql.DataFrame
 import repro.core.{RRel, joined}
 
 /** Algorithm S-GMM: compute the join **on the fly** every iteration without
-  * materializing T — the lazy join DataFrame is re-executed by each EM
-  * pass's action, which is Spark's equivalent of the paper's batch-probe
-  * loop. Computation is identical to M-GMM (same denormalized EM).
+  * materializing T — the join, planned once, is executed again by each EM
+  * pass, which is Spark's equivalent of the paper's batch-probe loop.
+  * Computation is identical to M-GMM (same denormalized EM).
   */
 object SGmm {
 
@@ -19,13 +19,13 @@ object SGmm {
     */
   def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = joined(s, rs, Nil)
 
-  /** Plans the join again for every iteration. One planned RDD reused
-    * across iterations would keep its shuffle dependencies, so every pass
-    * after the first would read the first pass's shuffle files: the join
-    * would run once, not on the fly.
+  /** Plans the join once and runs it again in every iteration: each pass
+    * reads S's and every R's files and shuffles them again, into new
+    * shuffle files. One planned RDD reused across iterations would keep its
+    * shuffle dependencies, so every pass after the first would read the
+    * first pass's shuffle files and the join would run once, not on the
+    * fly; each pass therefore runs a copy of the plan with new exchanges.
     */
-  def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit = {
-    val t = joinedMulti(s, rs)
-    DenormGmm.train(() => DenormGmm.rows(t), init, iters)
-  }
+  def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int): GmmFit =
+    DenormGmm.train(DenormGmm.joins(joinedMulti(s, rs)), init, iters)
 }

@@ -3,7 +3,7 @@ package repro.core.nn
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import repro.core.{RRel, assemble, features, iterate, mergePartitions, requireFinite, requireJoined, scan, target, targetCol}
+import repro.core.{RRel, assemble, features, iterate, mergePartitions, requireFinite, requireJoined, scan, scans, target, targetCol}
 import repro.linalg.{Mat, Vec}
 
 /** Result of an NN training run: final model plus the mean-squared-error
@@ -90,9 +90,16 @@ object DenormNn {
     */
   def epoch(t: DataFrame, model: NnModel, lr: Double): (NnModel, Double) = step(rows(t), model, lr)
 
+  /** The columns of T a pass reads. */
+  private def cols = Seq(features("xs"), features("xr"), targetCol)
+
   /** T's (xs, xr, y) rows: a planned scan that every pass over it runs again. */
-  private[nn] def rows(t: DataFrame): RDD[InternalRow] =
-    scan(t, features("xs"), features("xr"), targetCol)
+  private[nn] def rows(t: DataFrame): RDD[InternalRow] = scan(t, cols: _*)
+
+  /** T's (xs, xr, y) rows planned once, for passes that each compute T
+    * again: every call's rows read T's inputs and run its joins again.
+    */
+  private[nn] def joins(t: DataFrame): () => RDD[InternalRow] = scans(t, cols: _*)
 
   /** One full-batch epoch: one pass over planned rows of T. */
   private def step(rows: RDD[InternalRow], model: NnModel, lr: Double): (NnModel, Double) = {
@@ -121,8 +128,8 @@ object DenormNn {
 
   /** Run `epochs` full-batch GD epochs, each one pass over the rows
     * `scan()` returns for it. M-NN passes the rows of T it planned once, so
-    * every pass re-reads T's files; S-NN passes a scan that plans the join
-    * again, so every pass joins again.
+    * every pass re-reads T's files; S-NN passes [[joins]] of the join it
+    * planned once, so every pass reads S and R and joins them again.
     */
   def train(scan: () => RDD[InternalRow], init: NnModel, epochs: Int, lr: Double): NnFit = {
     val (model, losses) = iterate(init, epochs)(step(scan(), _, lr))

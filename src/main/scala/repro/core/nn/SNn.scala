@@ -3,8 +3,9 @@ package repro.core.nn
 import org.apache.spark.sql.DataFrame
 import repro.core.{RRel, joined}
 
-/** Algorithm S-NN: the join is recomputed on the fly every epoch (lazy
-  * DataFrame, no materialization); compute is identical to M-NN.
+/** Algorithm S-NN: the join is recomputed on the fly every epoch (planned
+  * once, executed again by each pass, no materialization); compute is
+  * identical to M-NN.
   */
 object SNn {
 
@@ -14,12 +15,10 @@ object SNn {
   /** Multi-way T(sid, xs, xr = [xr1 … xrq], y). */
   def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = joined(s, rs, Seq("y"))
 
-  /** Plans the join again for every epoch: a planned RDD reused across
-    * epochs would read the first pass's shuffle files, so the join would
-    * run once, not on the fly (see [[SGmm.trainMulti]]).
+  /** Plans the join once and runs it again in every epoch, with new
+    * exchanges, so each pass reads S and every R and shuffles them again
+    * (see [[repro.core.gmm.SGmm.trainMulti]]).
     */
-  def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit = {
-    val t = joinedMulti(s, rs)
-    DenormNn.train(() => DenormNn.rows(t), init, epochs, lr)
-  }
+  def trainMulti(s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int, lr: Double): NnFit =
+    DenormNn.train(DenormNn.joins(joinedMulti(s, rs)), init, epochs, lr)
 }

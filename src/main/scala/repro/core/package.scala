@@ -6,6 +6,9 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.util.ArrayData
+import org.apache.spark.sql.execution.{SQLExecutionRDD, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.{AdaptiveExecutionContext, AdaptiveSparkPlanExec}
+import org.apache.spark.sql.execution.exchange.{Exchange, ReusedExchangeExec}
 import org.apache.spark.sql.functions.{col, concat}
 import org.apache.spark.sql.types.{ArrayType, DoubleType, LongType}
 import scala.reflect.ClassTag
@@ -82,6 +85,47 @@ package object core {
     */
   private[core] def scan(df: DataFrame, cols: Column*): RDD[InternalRow] =
     df.select(cols: _*).queryExecution.toRdd
+
+  /** Scans of `df`'s columns `cols` planned once, each of which runs the
+    * whole plan again: every call returns the rows of a copy of the
+    * executed plan that keeps its leaves, so it re-reads their files
+    * through the read RDDs planned with the plan, and builds every other
+    * node anew, so each exchange shuffles again into new shuffle files. A
+    * reused exchange reads the copy of the exchange it reuses. Adaptive
+    * execution plans its stages while it runs, from a context that keeps
+    * them, so its copy gets a new context. Nothing is cached.
+    */
+  private[core] def scans(df: DataFrame, cols: Column*): () => RDD[InternalRow] = {
+    val qe = df.select(cols: _*).queryExecution
+    val plan = qe.executedPlan
+    val conf = qe.sparkSession.sessionState.conf
+    () => new SQLExecutionRDD(fresh(plan).execute(), conf)
+  }
+
+  /** A copy of `plan` with its leaves kept and every other node rebuilt
+    * through `makeCopy` (`withNewChildren` would keep a node whose new
+    * children are `==` to its old ones), copying each node once.
+    */
+  private def fresh(plan: SparkPlan): SparkPlan = {
+    val copies = new java.util.IdentityHashMap[SparkPlan, SparkPlan]
+    def copy(p: SparkPlan): SparkPlan = Option(copies.get(p)).getOrElse {
+      val c = p match {
+        case a: AdaptiveSparkPlanExec =>
+          a.copy(inputPlan = copy(a.inputPlan), context = AdaptiveExecutionContext(a.context.session, a.context.qe))
+        case r: ReusedExchangeExec => r.copy(child = copy(r.child).asInstanceOf[Exchange])
+        case leaf if leaf.children.isEmpty => leaf
+        case node => node.makeCopy(node.productIterator.map(arg).toArray)
+      }
+      copies.put(p, c)
+      c
+    }
+    def arg(a: Any): AnyRef = a match {
+      case child: SparkPlan => copy(child)
+      case cs: Seq[_] if cs.exists(_.isInstanceOf[SparkPlan]) => cs.map(arg)
+      case other => other.asInstanceOf[AnyRef]
+    }
+    copy(plan)
+  }
 
   /** `name` as a scanned FK or rid column: a long. The scans cast each
     * column to the type its reader reads, as the encoders upcast it (an int

@@ -15,6 +15,17 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  /** Run `body` with adaptive query execution on or off, then restore it.
+    * When it is on, Spark runs a join's shuffle stages as jobs of their own
+    * while the pass is planned, and the pass job skips them.
+    */
+  def withAdaptive[A](on: Boolean)(body: => A): A = {
+    val key = "spark.sql.adaptive.enabled"
+    val before = spark.conf.get(key)
+    spark.conf.set(key, on)
+    try body finally spark.conf.set(key, before)
+  }
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

@@ -148,6 +148,9 @@ object TestKernels {
       val c = (0 until m.k).map(i => m.covs(i).maxAbsDiff(other.covs(i))).max
       math.max(w, math.max(mu, c))
     }
+
+    /** Every parameter, for comparisons bit for bit. */
+    def params: Seq[Double] = (Seq(m.weights) ++ m.means ++ m.covs.map(_.a)).flatMap(_.toSeq)
   }
 
   implicit final class GmmComponentCacheOps(private val c: GmmComponentCache) extends AnyVal {
@@ -161,6 +164,9 @@ object TestKernels {
       Seq(m.w1.maxAbsDiff(other.w1), Vec.maxAbsDiff(m.b1, other.b1),
           Vec.maxAbsDiff(m.w2, other.w2), math.abs(m.b2 - other.b2)).max
     }
+
+    /** Every parameter, for comparisons bit for bit. */
+    def params: Seq[Double] = m.w1.a.toSeq ++ m.b1 ++ m.w2 :+ m.b2
 
     /** Forward pass for one tuple. */
     def predict(x: Array[Double]): Double = {
