@@ -1,9 +1,7 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.bench.Harness.SweepRow
-import repro.core.gmm._
-import repro.core.nn._
 import repro.data.NormalizedSynth
 
 /** Scaled-down reproductions of the synthetic parameter sweeps behind the
@@ -13,22 +11,38 @@ import repro.data.NormalizedSynth
   *
   * Sweeps compare S vs F only: the paper's figures show M ≈ S throughout
   * (same compute, slightly different I/O), and Table VI/VII benches cover M.
+  * Every point, binary or Movies-3way, GMM or NN, runs through [[point]].
   */
 object Sweeps {
 
-  private def binaryGmm(spark: SparkSession, nS: Long, nR: Long, dS: Int, dR: Int,
-                        k: Int, iters: Int, seed: Long): (Double, Double) = {
-    val (s, r) = NormalizedSynth.binary(spark, nS, nR, dS, dR, seed)
-    val sC = s.cache(); sC.count(): Unit
-    val rC = r.cache(); rC.count(): Unit
-    val init = GmmModel.init(k, dS + dR, seed)
-    val (fitS, tS) = Harness.timed(SGmm.train(sC, rC, init, iters))
-    val (fitF, tF) = Harness.timed(FGmm.train(sC, rC, init, iters))
-    require(math.abs(fitS.logliks.last - fitF.logliks.last) /
-      math.abs(fitS.logliks.last) < 1e-6, "S/F diverged")
-    sC.unpersist(); rC.unpersist()
-    (tS, tF)
+  /** One point: cache S and R1 … Rq, time S and F of `family` at `width`
+    * from the same init and require that their final objectives agree.
+    */
+  private def point(family: Family, width: Int, d: Int, iters: Int, seed: Long, param: String, value: Int)(
+      tables: (DataFrame, Seq[DataFrame])): SweepRow = {
+    val sC = tables._1.cache(); sC.count(): Unit
+    val rsC = tables._2.map { r => val c = r.cache(); c.count(); c }
+    val init = family.init(width, d, seed)
+    val (objS, tS) = Harness.timed(family.s(sC, rsC, init, iters))
+    val (objF, tF) = Harness.timed(family.f(sC, rsC, init, iters))
+    require(family.agree(objS.last, objF.last), s"S/F diverged at $param=$value: ${objS.last} vs ${objF.last}")
+    sC.unpersist(); rsC.foreach(_.unpersist())
+    SweepRow(param, value.toString, tS, tF)
   }
+
+  /** A binary point: nS S rows with dS = 5 over nR = 1000 R tuples. */
+  private def binary(spark: SparkSession, family: Family, param: String, value: Int, nS: Long, dR: Int,
+                     width: Int, iters: Int, seed: Long): SweepRow = {
+    val (s, r) = NormalizedSynth.binary(spark, nS, 1000L, 5, dR, seed, withTarget = family.withTarget)
+    point(family, width, 5 + dR, iters, seed, param, value)((s, Seq(r)))
+  }
+
+  /** A Movies-3way point with nS large enough that per-tuple compute, not
+    * job overhead, dominates.
+    */
+  private def movies3way(spark: SparkSession, family: Family, dR1: Int, iters: Int, seed: Long): SweepRow =
+    point(family, family.width, 1 + dR1 + 21, iters, seed, "dR1", dR1)(
+      NormalizedSynth.movies3way(spark, seed, nS = 300000L, dR1 = dR1, withTarget = family.withTarget))
 
   /** Fig 3(a): vary rr = nS/nR at nR=1000, dS=5, dR=15, K=5. Starts at
     * rr=2 where the paper predicts little-to-no advantage (crossover at
@@ -36,102 +50,42 @@ object Sweeps {
     */
   def gmmVaryRr(spark: SparkSession, iters: Int = Harness.gmmIters,
                 rrs: Seq[Int] = Seq(2, 20, 200)): Seq[SweepRow] =
-    rrs.map { rr =>
-      val (tS, tF) = binaryGmm(spark, nS = rr * 1000L, nR = 1000L, dS = 5, dR = 15,
-        k = 5, iters = iters, seed = 11)
-      SweepRow("rr", rr.toString, tS, tF)
-    }
+    rrs.map(rr => binary(spark, Gmm, "rr", rr, nS = rr * 1000L, dR = 15, Gmm.width, iters, seed = 11))
 
   /** Fig 3(b): vary dR at nS=1e5 (scaled from 1e6), nR=1000, dS=5, K=5. */
   def gmmVaryDr(spark: SparkSession, iters: Int = Harness.gmmIters,
                 dRs: Seq[Int] = Seq(5, 15, 30, 60)): Seq[SweepRow] =
-    dRs.map { dR =>
-      val (tS, tF) = binaryGmm(spark, nS = 100000L, nR = 1000L, dS = 5, dR = dR,
-        k = 5, iters = iters, seed = 12)
-      SweepRow("dR", dR.toString, tS, tF)
-    }
+    dRs.map(dR => binary(spark, Gmm, "dR", dR, nS = 100000L, dR = dR, Gmm.width, iters, seed = 12))
 
   /** Fig 3(c): vary K at nS=1e5, nR=1000, dS=5, dR=15. */
   def gmmVaryK(spark: SparkSession, iters: Int = Harness.gmmIters,
                ks: Seq[Int] = Seq(2, 5, 8)): Seq[SweepRow] =
-    ks.map { k =>
-      val (tS, tF) = binaryGmm(spark, nS = 100000L, nR = 1000L, dS = 5, dR = 15,
-        k = k, iters = iters, seed = 13)
-      SweepRow("K", k.toString, tS, tF)
-    }
+    ks.map(k => binary(spark, Gmm, "K", k, nS = 100000L, dR = 15, k, iters, seed = 13))
 
   /** Fig 4(b)-style multi-way sweep: vary dR1 on a Movies-3way-shaped join. */
   def gmmMultiVaryDr1(spark: SparkSession, iters: Int = Harness.gmmIters,
                       dR1s: Seq[Int] = Seq(10, 40, 80)): Seq[SweepRow] =
-    dR1s.map { dR1 =>
-      // nS large enough that per-tuple compute, not job overhead, dominates
-      val (s, rs) = NormalizedSynth.movies3way(spark, seed = 14, nS = 300000L, dR1 = dR1)
-      val sC = s.cache(); sC.count(): Unit
-      val rsC = rs.map { r => val c = r.cache(); c.count(); c }
-      val init = GmmModel.init(5, 1 + dR1 + 21, 14)
-      val (fitS, tS) = Harness.timed(SGmm.trainMulti(sC, rsC, init, iters))
-      val (fitF, tF) = Harness.timed(FGmmMulti.train(sC, rsC, init, iters))
-      require(math.abs(fitS.logliks.last - fitF.logliks.last) /
-        math.abs(fitS.logliks.last) < 1e-6, "S/F diverged (multi)")
-      sC.unpersist(); rsC.foreach(_.unpersist())
-      SweepRow("dR1", dR1.toString, tS, tF)
-    }
-
-  private def binaryNn(spark: SparkSession, nS: Long, nR: Long, dS: Int, dR: Int,
-                       nh: Int, epochs: Int, seed: Long): (Double, Double) = {
-    val (s, r) = NormalizedSynth.binary(spark, nS, nR, dS, dR, seed, withTarget = true)
-    val sC = s.cache(); sC.count(): Unit
-    val rC = r.cache(); rC.count(): Unit
-    val init = NnModel.init(nh, dS + dR, seed)
-    val (fitS, tS) = Harness.timed(SNn.train(sC, rC, init, epochs, 0.01))
-    val (fitF, tF) = Harness.timed(FNn.train(sC, rC, init, epochs, 0.01))
-    require(math.abs(fitS.losses.last - fitF.losses.last) < 1e-8, "S/F diverged")
-    sC.unpersist(); rC.unpersist()
-    (tS, tF)
-  }
+    dR1s.map(dR1 => movies3way(spark, Gmm, dR1, iters, seed = 14))
 
   /** Fig 5(a): vary rr at nR=1000, dS=5, dR=15, nh=50. Starts at rr=2 for
     * the same crossover reason as [[gmmVaryRr]].
     */
   def nnVaryRr(spark: SparkSession, epochs: Int = Harness.nnEpochs,
                rrs: Seq[Int] = Seq(2, 20, 200)): Seq[SweepRow] =
-    rrs.map { rr =>
-      val (tS, tF) = binaryNn(spark, rr * 1000L, 1000L, 5, 15, nh = 50,
-        epochs = epochs, seed = 15)
-      SweepRow("rr", rr.toString, tS, tF)
-    }
+    rrs.map(rr => binary(spark, Nn, "rr", rr, nS = rr * 1000L, dR = 15, Nn.width, epochs, seed = 15))
 
   /** Fig 5(b): vary dR at nS=1e5, nR=1000, dS=5, nh=50. */
   def nnVaryDr(spark: SparkSession, epochs: Int = Harness.nnEpochs,
                dRs: Seq[Int] = Seq(5, 15, 30, 60)): Seq[SweepRow] =
-    dRs.map { dR =>
-      val (tS, tF) = binaryNn(spark, 100000L, 1000L, 5, dR, nh = 50,
-        epochs = epochs, seed = 16)
-      SweepRow("dR", dR.toString, tS, tF)
-    }
+    dRs.map(dR => binary(spark, Nn, "dR", dR, nS = 100000L, dR = dR, Nn.width, epochs, seed = 16))
 
   /** Fig 5(c): vary nh at nS=1e5, nR=1000, dS=5, dR=15. */
   def nnVaryNh(spark: SparkSession, epochs: Int = Harness.nnEpochs,
                nhs: Seq[Int] = Seq(25, 50, 100)): Seq[SweepRow] =
-    nhs.map { nh =>
-      val (tS, tF) = binaryNn(spark, 100000L, 1000L, 5, 15, nh = nh,
-        epochs = epochs, seed = 17)
-      SweepRow("nh", nh.toString, tS, tF)
-    }
+    nhs.map(nh => binary(spark, Nn, "nh", nh, nS = 100000L, dR = 15, nh, epochs, seed = 17))
 
   /** Fig 6(b)-style multi-way sweep: vary dR1, nh=50. */
   def nnMultiVaryDr1(spark: SparkSession, epochs: Int = Harness.nnEpochs,
                      dR1s: Seq[Int] = Seq(10, 40, 80)): Seq[SweepRow] =
-    dR1s.map { dR1 =>
-      val (s, rs) = NormalizedSynth.movies3way(spark, seed = 18, nS = 300000L, dR1 = dR1,
-        withTarget = true)
-      val sC = s.cache(); sC.count(): Unit
-      val rsC = rs.map { r => val c = r.cache(); c.count(); c }
-      val init = NnModel.init(50, 1 + dR1 + 21, 18)
-      val (fitS, tS) = Harness.timed(SNn.trainMulti(sC, rsC, init, epochs, 0.01))
-      val (fitF, tF) = Harness.timed(FNnMulti.train(sC, rsC, init, epochs, 0.01))
-      require(math.abs(fitS.losses.last - fitF.losses.last) < 1e-8, "S/F diverged (multi)")
-      sC.unpersist(); rsC.foreach(_.unpersist())
-      SweepRow("dR1", dR1.toString, tS, tF)
-    }
+    dR1s.map(dR1 => movies3way(spark, Nn, dR1, epochs, seed = 18))
 }

@@ -10,7 +10,7 @@ import repro.SparkSpec
 class GmmTable6Bench extends SparkSpec {
 
   test("Table VI: F-GMM beats M-GMM and S-GMM on every dataset") {
-    val rows = GmmTables.runAll(spark)
+    val rows = PaperTables.runAll(spark, PaperTables.Six)
     println(Harness.renderTable(
       s"Table VI (GMM, scale=${Harness.scale}, iters=${Harness.gmmIters})", rows))
 
@@ -28,7 +28,7 @@ class GmmTable6Bench extends SparkSpec {
     // paper's headline trend (full scale — at tiny nS the F-side fixed
     // per-iteration R precompute would mask the per-tuple savings).
     val rows = repro.data.NormalizedSynth.table5Augmented.map(d =>
-      GmmTables.runBinary(spark, d, seed = 7, scale = Harness.scale, iters = 2))
+      PaperTables.runBinary(spark, PaperTables.Six, d, seed = 7, scale = Harness.scale, iters = 2))
     println(Harness.renderTable("Table VI (augmented family, trend check)", rows))
     val speedups = rows.map(_.speedup)
     assert(speedups.last > speedups.head,

@@ -8,7 +8,7 @@ import repro.SparkSpec
 class NnTable7Bench extends SparkSpec {
 
   test("Table VII: F-NN beats M-NN and S-NN on every dataset") {
-    val rows = NnTables.runAll(spark)
+    val rows = PaperTables.runAll(spark, PaperTables.Seven)
     println(Harness.renderTable(
       s"Table VII (NN, scale=${Harness.scale}, epochs=${Harness.nnEpochs})", rows))
 

@@ -1,21 +1,21 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.bench.{Harness, PaperTables}
 
-/** spark-submit entrypoint regenerating paper Table VI (GMM real datasets).
+/** spark-submit entrypoint regenerating paper Table VI (GMM real datasets),
+  * at the scale and iterations of `BENCH_SCALE` and `BENCH_GMM_ITERS`.
   *
   * {{{
-  * spark-submit --class repro.jobs.GmmTable6Job --jars repro.jar repro-bench.jar [scale] [iters]
+  * spark-submit --class repro.jobs.GmmTable6Job --jars repro.jar repro-bench.jar
   * }}}
   */
 object GmmTable6Job {
   def main(args: Array[String]): Unit = {
-    val scale = if (args.length > 0) args(0).toDouble else repro.bench.Harness.scale
-    val iters = if (args.length > 1) args(1).toInt else repro.bench.Harness.gmmIters
     val spark = Jobs.session("gmm-table6")
     try {
-      val rows = repro.bench.GmmTables.runAll(spark, scale, iters)
-      println(repro.bench.Harness.renderTable(s"Table VI (scale=$scale, iters=$iters)", rows))
+      val rows = PaperTables.runAll(spark, PaperTables.Six)
+      println(Harness.renderTable(s"Table VI (scale=${Harness.scale}, iters=${Harness.gmmIters})", rows))
     } finally spark.stop()
   }
 }

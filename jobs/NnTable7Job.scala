@@ -1,19 +1,20 @@
 package repro.jobs
 
-/** spark-submit entrypoint regenerating paper Table VII (NN real datasets).
+import repro.bench.{Harness, PaperTables}
+
+/** spark-submit entrypoint regenerating paper Table VII (NN real datasets),
+  * at the scale and epochs of `BENCH_SCALE` and `BENCH_NN_EPOCHS`.
   *
   * {{{
-  * spark-submit --class repro.jobs.NnTable7Job --jars repro.jar repro-bench.jar [scale] [epochs]
+  * spark-submit --class repro.jobs.NnTable7Job --jars repro.jar repro-bench.jar
   * }}}
   */
 object NnTable7Job {
   def main(args: Array[String]): Unit = {
-    val scale = if (args.length > 0) args(0).toDouble else repro.bench.Harness.scale
-    val epochs = if (args.length > 1) args(1).toInt else repro.bench.Harness.nnEpochs
     val spark = Jobs.session("nn-table7")
     try {
-      val rows = repro.bench.NnTables.runAll(spark, scale, epochs)
-      println(repro.bench.Harness.renderTable(s"Table VII (scale=$scale, epochs=$epochs)", rows))
+      val rows = PaperTables.runAll(spark, PaperTables.Seven)
+      println(Harness.renderTable(s"Table VII (scale=${Harness.scale}, epochs=${Harness.nnEpochs})", rows))
     } finally spark.stop()
   }
 }

@@ -70,13 +70,8 @@ private[core] final class RRel private (val name: String, val n: Int, val width:
 }
 
 private[core] object RRel {
-  /** S's FK columns for a multi-way join: Ri is referenced by `fk<i>`. */
+  /** S's FK columns: Ri is referenced by `fk<i>`, for a binary join (q = 1) too. */
   def fkCols(q: Int): Seq[String] = (1 to q).map(i => s"fk$i")
-
-  /** S of a binary join, whose FK column `fk` references R, as the q = 1
-    * case of a multi-way join: `fk` renamed to `fk1`.
-    */
-  def binary(s: DataFrame): DataFrame = s.withColumnRenamed("fk", fkCols(1).head)
 
   /** Check and index the packed tuples of relation `name`, its partitions
     * in order. Input the inner join would not define as a key lookup — an

@@ -3,7 +3,7 @@ package repro.core.gmm
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import repro.core.{RRel, assemble, features, iterate, mergePartitions, scan, scans}
+import repro.core.{assemble, features, iterate, mergePartitions, scan, scans}
 
 /** Result of a GMM training run: final model plus the log-likelihood of the
   * model *entering* each iteration (so logliks(0) scores the init).
@@ -20,9 +20,10 @@ object DenormGmm {
 
   /** The projected equi-join T(sid, [X_S X_R]) of paper §IV, with the S and
     * R feature blocks kept as two array columns (their concatenation is the
-    * feature vector; the split is positional, Table I).
+    * feature vector; the split is positional, Table I): the case q = 1 of
+    * [[SGmm.joinedMulti]], kept for perfbench and the specs (ROADMAP item 3).
     */
-  def joined(s: DataFrame, r: DataFrame): DataFrame = SGmm.joinedMulti(RRel.binary(s), Seq(r))
+  def joined(s: DataFrame, r: DataFrame): DataFrame = SGmm.joinedMulti(s, Seq(r))
 
   /** One EM iteration over T, planning T's scan for this call. Returns the
     * updated model and the log-likelihood of the incoming model.

@@ -1,7 +1,6 @@
 package repro.core.gmm
 
 import org.apache.spark.sql.DataFrame
-import repro.core.RRel
 import repro.data.Store
 
 /** Algorithm M-GMM (paper Alg. 1): join S and R, **materialize** T in the
@@ -11,9 +10,10 @@ import repro.data.Store
   */
 object MGmm {
 
+  /** S ⋈ R, the case q = 1 of [[trainMulti]]; kept for perfbench and the specs (ROADMAP item 3). */
   def train(store: Store, s: DataFrame, r: DataFrame, init: GmmModel, iters: Int,
             tableName: String = "T_mgmm"): GmmFit =
-    trainMulti(store, RRel.binary(s), Seq(r), init, iters, tableName)
+    trainMulti(store, s, Seq(r), init, iters, tableName)
 
   /** Multi-way variant: materialize S ⋈ R1 ⋈ … ⋈ Rq. */
   def trainMulti(store: Store, s: DataFrame, rs: Seq[DataFrame], init: GmmModel, iters: Int,

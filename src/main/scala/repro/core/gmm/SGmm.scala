@@ -1,7 +1,7 @@
 package repro.core.gmm
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{RRel, joined}
+import repro.core.joined
 
 /** Algorithm S-GMM: compute the join **on the fly** every iteration without
   * materializing T — the join, planned once, is executed again by each EM
@@ -10,8 +10,9 @@ import repro.core.{RRel, joined}
   */
 object SGmm {
 
+  /** S ⋈ R, the case q = 1 of [[trainMulti]]; kept for perfbench and the specs (ROADMAP item 3). */
   def train(s: DataFrame, r: DataFrame, init: GmmModel, iters: Int): GmmFit =
-    trainMulti(RRel.binary(s), Seq(r), init, iters)
+    trainMulti(s, Seq(r), init, iters)
 
   /** The multi-way projected equi-join T(sid, [X_S X_R1 … X_Rq]) with all
     * R-side features in a single `xr` block (offsets are positional,

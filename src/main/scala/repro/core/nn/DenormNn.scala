@@ -3,7 +3,7 @@ package repro.core.nn
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import repro.core.{RRel, assemble, features, iterate, mergePartitions, requireFinite, requireJoined, scan, scans, target, targetCol}
+import repro.core.{assemble, features, iterate, mergePartitions, requireFinite, requireJoined, scan, scans, target, targetCol}
 import repro.linalg.{Mat, Vec}
 
 /** Result of an NN training run: final model plus the mean-squared-error
@@ -82,8 +82,11 @@ private[nn] object NnAccum {
   */
 object DenormNn {
 
-  /** T(sid, xs, xr, y): the projected equi-join with the learning target. */
-  def joined(s: DataFrame, r: DataFrame): DataFrame = SNn.joinedMulti(RRel.binary(s), Seq(r))
+  /** T(sid, xs, xr, y): the projected equi-join with the learning target,
+    * the case q = 1 of [[SNn.joinedMulti]]; kept for perfbench and the specs
+    * (ROADMAP item 3).
+    */
+  def joined(s: DataFrame, r: DataFrame): DataFrame = SNn.joinedMulti(s, Seq(r))
 
   /** One full-batch epoch over T, planning T's scan for this call: returns
     * (updated model, loss E of the incoming model).

@@ -1,7 +1,6 @@
 package repro.core.nn
 
 import org.apache.spark.sql.DataFrame
-import repro.core.RRel
 import repro.data.Store
 
 /** Algorithm M-NN: join S and R, **materialize** T on disk, train reading T
@@ -10,9 +9,10 @@ import repro.data.Store
   */
 object MNn {
 
+  /** S ⋈ R, the case q = 1 of [[trainMulti]]; kept for perfbench and the specs (ROADMAP item 3). */
   def train(store: Store, s: DataFrame, r: DataFrame, init: NnModel, epochs: Int,
             lr: Double, tableName: String = "T_mnn"): NnFit =
-    trainMulti(store, RRel.binary(s), Seq(r), init, epochs, lr, tableName)
+    trainMulti(store, s, Seq(r), init, epochs, lr, tableName)
 
   def trainMulti(store: Store, s: DataFrame, rs: Seq[DataFrame], init: NnModel, epochs: Int,
                  lr: Double, tableName: String = "T_mnn_multi"): NnFit = {

@@ -1,7 +1,7 @@
 package repro.core.nn
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{RRel, joined}
+import repro.core.joined
 
 /** Algorithm S-NN: the join is recomputed on the fly every epoch (planned
   * once, executed again by each pass, no materialization); compute is
@@ -9,8 +9,9 @@ import repro.core.{RRel, joined}
   */
 object SNn {
 
+  /** S ⋈ R, the case q = 1 of [[trainMulti]]; kept for perfbench and the specs (ROADMAP item 3). */
   def train(s: DataFrame, r: DataFrame, init: NnModel, epochs: Int, lr: Double): NnFit =
-    trainMulti(RRel.binary(s), Seq(r), init, epochs, lr)
+    trainMulti(s, Seq(r), init, epochs, lr)
 
   /** Multi-way T(sid, xs, xr = [xr1 … xrq], y). */
   def joinedMulti(s: DataFrame, rs: Seq[DataFrame]): DataFrame = joined(s, rs, Seq("y"))

@@ -4,11 +4,12 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-/** Synthetic *normalized* relation pairs for the paper's schema
-  * (Section IV): S(sid, fk, xs[, y]) with a PK/FK reference into
-  * R(rid, xr), with the mixture-of-Gaussians feature data the paper
-  * evaluates on ("synthetic data sampling from multiple Gaussian
-  * distributions and add random noise", §VII-A) plus one-hot "Sparse" variants and the
+/** Synthetic *normalized* relations for the paper's schema (Section IV):
+  * S(sid, fk1 … fkq, xs[, y]) whose `fk<i>` references Ri(rid, xr) — a
+  * binary join is the case q = 1, with S's FK column `fk1` — with the
+  * mixture-of-Gaussians feature data the paper evaluates on ("synthetic
+  * data sampling from multiple Gaussian distributions and add random
+  * noise", §VII-A) plus one-hot "Sparse" variants and the
   * dimension-faithful surrogates for the Hamlet real datasets (Tables IV/V).
   *
   * All generators are deterministic in (sizes, seed): every stochastic
@@ -53,13 +54,13 @@ object NormalizedSynth {
     spark.range(1, nR + 1).select(col("id") as "rid", feats as "xr")
   }
 
-  /** Entity relation S(sid: long, fk: long, xs: array<double>[, y: double])
+  /** Entity relation S(sid: long, fk1: long, xs: array<double>[, y: double])
     * with `nS` tuples, FKs uniform over [1, nR], `dS` mixture features; when
     * `withTarget`, `y` is a noisy nonlinear function of xs(0) (NN target).
     */
   def s(spark: SparkSession, nS: Long, nR: Long, dS: Int, seed: Long, k: Int = 5,
         withTarget: Boolean = false, sparse: Boolean = false, blockWidth: Int = 9): DataFrame =
-    entity(spark, nS, Seq((rand(seed + 2) * nR + 1).cast(LongType) as "fk"), dS, seed, k, withTarget,
+    entity(spark, nS, Seq((rand(seed + 2) * nR + 1).cast(LongType) as "fk1"), dS, seed, k, withTarget,
       sparse, blockWidth)
 
   /** S(sid, fks…, xs[, y]) with `nS` tuples, the FK columns `fks` and `dS`

@@ -19,15 +19,15 @@ class SPlanOnceSpec extends SparkSpec {
   private val Lr = 0.05
 
   /** Each S beside its relations and the width d of a joined row: binary
-    * (S through [[RRel.binary]]) and q = 2, generated and not written, then
-    * the same written to `store`.
+    * and q = 2, generated and not written, then the same written to
+    * `store`.
     */
   private def inputs(store: Store): Seq[(String, DataFrame, Seq[DataFrame], Int)] = {
     val (s1, r1) = NormalizedSynth.binary(spark, nS = 400, nR = 15, dS = 2, dR = 3, seed = 81, k = 2,
       withTarget = true)
     val (s2, rs2) = NormalizedSynth.multiway(spark, nS = 400, dS = 2, specs = Seq((12L, 2), (10L, 3)), seed = 82,
       k = 2, withTarget = true)
-    val generated = Seq(("binary", RRel.binary(s1), Seq(r1), 5), ("q=2", s2, rs2, 7))
+    val generated = Seq(("binary", s1, Seq(r1), 5), ("q=2", s2, rs2, 7))
     generated ++ generated.map { case (name, s, rs, d) =>
       (s"$name, written", store.write(s"s_$name", s),
         rs.zipWithIndex.map { case (r, i) => store.write(s"r${i + 1}_$name", r) }, d)

@@ -19,7 +19,7 @@ class GmmEquivalenceSpec extends SparkSpec {
   /** S-GMM over the inner join and the F-GMM engine agree after each of
     * `iters` EM iterations from `init`, and so does M-GMM over T
     * materialized in `store`, if given. S's column `fk<i>` references
-    * `rs(i - 1)`; a binary S goes through [[RRel.binary]] first.
+    * `rs(i - 1)`.
     */
   private def assertMultiPerIteration(s: DataFrame, rs: Seq[DataFrame], init: GmmModel,
                                       dS: Int, iters: Int = 2, store: Option[Store] = None): Unit = {
@@ -91,14 +91,14 @@ class GmmEquivalenceSpec extends SparkSpec {
   test("orphan FKs are dropped like the inner join (binary)") {
     import org.apache.spark.sql.functions._
     // every 97th row references an R tuple that does not exist
-    val s = sDf.withColumn("fk", when(col("sid") % 97 === 0, lit(999L)).otherwise(col("fk")))
-    val orphans = s.where(col("fk") === 999L).count()
+    val s = sDf.withColumn("fk1", when(col("sid") % 97 === 0, lit(999L)).otherwise(col("fk1")))
+    val orphans = s.where(col("fk1") === 999L).count()
     assert(orphans > 0)
     val init = GmmModel.init(k = 3, d = 7, seed = 5)
     val acc = withBroadcast(spark.sparkContext, RRel.collect(Seq(rDf))(())._1)(
-      FGmmMulti.pass(FGmmMulti.sRows(RRel.binary(s), 1), _, init, dS = 3))
+      FGmmMulti.pass(FGmmMulti.sRows(s, 1), _, init, dS = 3))
     assert(acc.orphans == orphans && acc.s.n == 3000 - orphans)
-    assertMultiPerIteration(RRel.binary(s), Seq(rDf), init, dS = 3)
+    assertMultiPerIteration(s, Seq(rDf), init, dS = 3)
   }
 
   test("M-GMM (materialized) equals S-GMM and F-GMM end to end") {
@@ -172,7 +172,7 @@ class GmmEquivalenceSpec extends SparkSpec {
       // a tuple no S row references is never read (inner join): training succeeds
       val nanTuple = rDf.union(
         spark.range(999, 1000).select(col("id") as "rid", vec(Seq.fill(4)(Double.NaN): _*) as "xr"))
-      assertMultiPerIteration(RRel.binary(sDf), Seq(nanTuple), init, dS = 3, store = Some(store))
+      assertMultiPerIteration(sDf, Seq(nanTuple), init, dS = 3, store = Some(store))
     } finally store.close()
   }
 
@@ -180,7 +180,7 @@ class GmmEquivalenceSpec extends SparkSpec {
     import org.apache.spark.sql.functions._
     val store = Store.temp(spark)
     try {
-      val s = sDf.withColumn("fk", lit(999L))
+      val s = sDf.withColumn("fk1", lit(999L))
       val init = GmmModel.init(k = 3, d = 7, seed = 5)
       val (sM0, rsM) = NormalizedSynth.multiway(spark, nS = 500, dS = 2,
         specs = Seq((10L, 3), (8L, 4)), seed = 35, k = 2)
@@ -233,7 +233,7 @@ class GmmEquivalenceSpec extends SparkSpec {
     // a second step would compare roundoff scaled by 1e9.
     val store = Store.temp(spark)
     try {
-      assertMultiPerIteration(RRel.binary(sDf.withColumn("fk", lit(7L))), Seq(rDf),
+      assertMultiPerIteration(sDf.withColumn("fk1", lit(7L)), Seq(rDf),
         GmmModel.init(k = 3, d = 7, seed = 5), dS = 3, iters = 1, Some(store))
       val (s, rs) = NormalizedSynth.multiway(spark, nS = 1500, dS = 2,
         specs = Seq((20L, 3), (15L, 4)), seed = 31, k = 3)
@@ -246,7 +246,7 @@ class GmmEquivalenceSpec extends SparkSpec {
     val store = Store.temp(spark)
     try {
       val (sB, rB) = NormalizedSynth.binary(spark, nS = 400, nR = 3000, dS = 3, dR = 4, seed = 79, k = 3)
-      assertMultiPerIteration(RRel.binary(sB), Seq(rB), GmmModel.init(k = 3, d = 7, seed = 5),
+      assertMultiPerIteration(sB, Seq(rB), GmmModel.init(k = 3, d = 7, seed = 5),
         dS = 3, store = Some(store))
       val (s, rs) = NormalizedSynth.multiway(spark, nS = 400, dS = 2,
         specs = Seq((2000L, 3), (1500L, 4)), seed = 41, k = 3)
@@ -262,13 +262,13 @@ class GmmEquivalenceSpec extends SparkSpec {
       // a tuple with rid 0, which no FK references: a null FK must not read as 0
       def withRid0(r: DataFrame, dR: Int) =
         r.union(spark.range(0, 1).select(col("id") as "rid", array(Seq.fill(dR)(lit(0.5)): _*) as "xr"))
-      val s = sDf.withColumn("fk", when(col("sid") === 5, lit(null).cast("long")).otherwise(col("fk")))
+      val s = sDf.withColumn("fk1", when(col("sid") === 5, lit(null).cast("long")).otherwise(col("fk1")))
       val r = withRid0(rDf, 4)
       val init = GmmModel.init(k = 3, d = 7, seed = 5)
       val acc = withBroadcast(spark.sparkContext, RRel.collect(Seq(r))(())._1)(
-        FGmmMulti.pass(FGmmMulti.sRows(RRel.binary(s), 1), _, init, dS = 3))
+        FGmmMulti.pass(FGmmMulti.sRows(s, 1), _, init, dS = 3))
       assert(acc.orphans == 1 && acc.s.n == 2999)
-      assertTrainPerIteration(RRel.binary(s), Seq(r), init, store)
+      assertTrainPerIteration(s, Seq(r), init, store)
       val (sM0, rsM) = NormalizedSynth.multiway(spark, nS = 1500, dS = 2,
         specs = Seq((20L, 3), (15L, 4)), seed = 31, k = 3)
       val sM = sM0.withColumn("fk2", when(col("sid") % 97 === 0, lit(null).cast("long")).otherwise(col("fk2")))
@@ -282,7 +282,7 @@ class GmmEquivalenceSpec extends SparkSpec {
     try {
       // two of them, so that rids read as 0 would collide
       val r = rDf.withColumn("rid", when(col("rid") < 3, lit(null).cast("long")).otherwise(col("rid")))
-      assertTrainPerIteration(RRel.binary(sDf), Seq(r), GmmModel.init(k = 3, d = 7, seed = 5), store)
+      assertTrainPerIteration(sDf, Seq(r), GmmModel.init(k = 3, d = 7, seed = 5), store)
     } finally store.close()
   }
 
@@ -303,7 +303,7 @@ class GmmEquivalenceSpec extends SparkSpec {
       }
       val unjoined = rDf.union(spark.range(999, 1000).select(col("id") as "rid",
         array(lit(1.0), nul, lit(0.0), lit(0.0)) as "xr"))
-      assertTrainPerIteration(RRel.binary(sDf), Seq(unjoined), init, store)
+      assertTrainPerIteration(sDf, Seq(unjoined), init, store)
     } finally store.close()
   }
 
@@ -414,7 +414,7 @@ class GmmEquivalenceSpec extends SparkSpec {
     import org.apache.spark.sql.functions._
     val s = spark.range(1, 4001).select(
       col("id") as "sid",
-      (rand(1) * 20 + 1).cast("long") as "fk",
+      (rand(1) * 20 + 1).cast("long") as "fk1",
       array(when(rand(2) < 0.5, -4.0).otherwise(4.0) + randn(3) * 0.5) as "xs")
     val r = spark.range(1, 21).select(col("id") as "rid", array(randn(4)) as "xr")
     val init = GmmModel.init(k = 2, d = 2, seed = 12)

@@ -17,8 +17,7 @@ class NnEquivalenceSpec extends SparkSpec {
 
   /** S-NN over the inner join and the F-NN engine update identically in
     * each of two epochs from `init`, and so does M-NN over T materialized in
-    * `store`, if given. S's column `fk<i>` references `rs(i - 1)`; a binary
-    * S goes through [[RRel.binary]] first.
+    * `store`, if given. S's column `fk<i>` references `rs(i - 1)`.
     */
   private def assertPerEpoch(s: DataFrame, rs: Seq[DataFrame], init: NnModel, dS: Int,
                              store: Option[Store] = None): Unit = {
@@ -153,7 +152,7 @@ class NnEquivalenceSpec extends SparkSpec {
       // a tuple no S row references is never read (inner join): training succeeds
       val nanTuple = rDf.union(
         spark.range(999, 1000).select(col("id") as "rid", vec(Seq.fill(4)(Double.NaN): _*) as "xr"))
-      assertPerEpoch(RRel.binary(sDf), Seq(nanTuple), init, dS = 3, Some(store))
+      assertPerEpoch(sDf, Seq(nanTuple), init, dS = 3, Some(store))
     } finally store.close()
   }
 
@@ -161,7 +160,7 @@ class NnEquivalenceSpec extends SparkSpec {
     import org.apache.spark.sql.functions._
     val store = Store.temp(spark)
     try {
-      val s = sDf.withColumn("fk", lit(999L))
+      val s = sDf.withColumn("fk1", lit(999L))
       val init = NnModel.init(nh = 6, d = 7, seed = 41)
       val (sM0, rsM) = NormalizedSynth.multiway(spark, nS = 500, dS = 2,
         specs = Seq((10L, 3), (8L, 4)), seed = 35, withTarget = true)
@@ -211,7 +210,7 @@ class NnEquivalenceSpec extends SparkSpec {
     import org.apache.spark.sql.functions._
     val store = Store.temp(spark)
     try {
-      assertPerEpoch(RRel.binary(sDf.withColumn("fk", lit(7L))), Seq(rDf),
+      assertPerEpoch(sDf.withColumn("fk1", lit(7L)), Seq(rDf),
         NnModel.init(nh = 6, d = 7, seed = 41), dS = 3, Some(store))
       val (s, rs) = NormalizedSynth.multiway(spark, nS = 1500, dS = 2,
         specs = Seq((18L, 3), (12L, 4)), seed = 101, withTarget = true)
@@ -225,7 +224,7 @@ class NnEquivalenceSpec extends SparkSpec {
     try {
       val (sB, rB) = NormalizedSynth.binary(spark, nS = 400, nR = 3000, dS = 3, dR = 4, seed = 83,
         withTarget = true)
-      assertPerEpoch(RRel.binary(sB), Seq(rB), NnModel.init(nh = 6, d = 7, seed = 41), dS = 3,
+      assertPerEpoch(sB, Seq(rB), NnModel.init(nh = 6, d = 7, seed = 41), dS = 3,
         Some(store))
       val (s, rs) = NormalizedSynth.multiway(spark, nS = 400, dS = 2,
         specs = Seq((2000L, 3), (1500L, 4)), seed = 107, withTarget = true)
@@ -240,13 +239,13 @@ class NnEquivalenceSpec extends SparkSpec {
       // a tuple with rid 0, which no FK references: a null FK must not read as 0
       def withRid0(r: DataFrame, dR: Int) =
         r.union(spark.range(0, 1).select(col("id") as "rid", array(Seq.fill(dR)(lit(0.5)): _*) as "xr"))
-      val s = sDf.withColumn("fk", when(col("sid") === 5, lit(null).cast("long")).otherwise(col("fk")))
+      val s = sDf.withColumn("fk1", when(col("sid") === 5, lit(null).cast("long")).otherwise(col("fk1")))
       val r = withRid0(rDf, 4)
       val init = NnModel.init(nh = 6, d = 7, seed = 41)
       val acc = withBroadcast(spark.sparkContext, RRel.collect(Seq(r))(())._1)(
-        FNnMulti.pass(FNnMulti.sRows(RRel.binary(s), 1), _, init, dS = 3))
+        FNnMulti.pass(FNnMulti.sRows(s, 1), _, init, dS = 3))
       assert(acc.orphans == 1 && acc.sums.n == 2499)
-      assertTrainPerEpoch(RRel.binary(s), Seq(r), init, store)
+      assertTrainPerEpoch(s, Seq(r), init, store)
       val (sM0, rsM) = NormalizedSynth.multiway(spark, nS = 1500, dS = 2,
         specs = Seq((18L, 3), (12L, 4)), seed = 101, withTarget = true)
       val sM = sM0.withColumn("fk2", when(col("sid") % 97 === 0, lit(null).cast("long")).otherwise(col("fk2")))
@@ -260,7 +259,7 @@ class NnEquivalenceSpec extends SparkSpec {
     try {
       // two of them, so that rids read as 0 would collide
       val r = rDf.withColumn("rid", when(col("rid") < 3, lit(null).cast("long")).otherwise(col("rid")))
-      assertTrainPerEpoch(RRel.binary(sDf), Seq(r), NnModel.init(nh = 6, d = 7, seed = 41), store)
+      assertTrainPerEpoch(sDf, Seq(r), NnModel.init(nh = 6, d = 7, seed = 41), store)
     } finally store.close()
   }
 
@@ -282,7 +281,7 @@ class NnEquivalenceSpec extends SparkSpec {
       }
       val unjoined = rDf.union(spark.range(999, 1000).select(col("id") as "rid",
         array(lit(1.0), nul, lit(0.0), lit(0.0)) as "xr"))
-      assertTrainPerEpoch(RRel.binary(sDf), Seq(unjoined), init, store)
+      assertTrainPerEpoch(sDf, Seq(unjoined), init, store)
     } finally store.close()
   }
 
@@ -318,7 +317,7 @@ class NnEquivalenceSpec extends SparkSpec {
       specs = Seq((18L, 3), (12L, 4)), seed = 101, withTarget = true)
     // every 97th row references an R (binary) or R2 (q = 2) tuple that does not exist
     val cases = Seq(
-      (RRel.binary(sDf), Seq(rDf), "fk1", NnModel.init(nh = 6, d = 7, seed = 41), 3),
+      (sDf, Seq(rDf), "fk1", NnModel.init(nh = 6, d = 7, seed = 41), 3),
       (sM, rsM, "fk2", NnModel.init(nh = 5, d = 9, seed = 61), 2))
     cases.foreach { case (s0, rs, orphanCol, init, dS) =>
       val s = s0.withColumn(orphanCol,

@@ -33,7 +33,7 @@ class NormalizedSynthSpec extends SparkSpec {
 
   test("S foreign keys hit most of R (uniform spread)") {
     val s = NormalizedSynth.s(spark, nS = 2000, nR = 20, dS = 2, seed = 4)
-    val distinctFk = s.select("fk").distinct().count()
+    val distinctFk = s.select("fk1").distinct().count()
     assert(distinctFk >= 18, s"only $distinctFk of 20 keys hit")
   }
 
@@ -52,7 +52,7 @@ class NormalizedSynthSpec extends SparkSpec {
 
   test("withTarget adds a y column correlated with xs(0)") {
     val s = NormalizedSynth.s(spark, 1000, 10, 3, seed = 5, withTarget = true)
-    assert(s.columns.toSeq == Seq("sid", "fk", "xs", "y"))
+    assert(s.columns.toSeq == Seq("sid", "fk1", "xs", "y"))
     val rows = s.collect()
     // y = sin(xs0) + 0.1*noise: residual should be small on average.
     val resid = rows.map(r => math.abs(r.getDouble(r.fieldIndex("y")) - math.sin(xsOf(r).head)))

@@ -72,7 +72,7 @@ class StoreSpec extends SparkSpec {
       val (s, r) = NormalizedSynth.binary(spark, 2000, 20, 2, 40, seed = 5)
       val sP = store.write("s", s.coalesce(1))
       val rP = store.write("r", r.coalesce(1))
-      val t  = sP.join(rP, sP("fk") === rP("rid")).select(sP("sid"), sP("fk"), sP("xs"), rP("xr"))
+      val t  = sP.join(rP, sP("fk1") === rP("rid")).select(sP("sid"), sP("fk1"), sP("xs"), rP("xr"))
       store.write("t", t.coalesce(1))
       val tBytes  = store.sizeBytes("t")
       val srBytes = store.sizeBytes("s") + store.sizeBytes("r")
